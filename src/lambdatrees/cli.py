@@ -64,6 +64,13 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _need_int(payload: dict, key: str) -> int:
+    value = _need(payload, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PayloadError(f"{key} must be an integer")
+    return value
+
+
 def _tree(payload: dict) -> LambdaTree:
     return LambdaTree.from_json(_need(payload, "tree"))
 
@@ -116,9 +123,7 @@ def _run_base_change(payload, args):
 
 def _run_quotient(payload, args):
     tree = _tree(payload)
-    depth = _need(payload, "depth")
-    if not isinstance(depth, int):
-        raise PayloadError("depth must be an integer")
+    depth = _need_int(payload, "depth")
     result = tree.convex_quotient_tree(ConvexSubgroup(tree.group, depth))
     return {
         "tree": result.tree.to_json(),
@@ -140,9 +145,7 @@ def _run_sl2_act(payload, args):
 
 def _run_sl2_ball(payload, args):
     field = _field(_need(payload, "field"))
-    radius = _need(payload, "radius")
-    if not isinstance(radius, int):
-        raise PayloadError("radius must be an integer")
+    radius = _need_int(payload, "radius")
     if "center" in payload:
         center = canonical_vertex(_matrix(field, payload["center"]))
     else:
@@ -186,9 +189,7 @@ def _run_decompose_edge(payload, args):
 
 
 def _run_schreier_rank(payload, args):
-    rank = _need(payload, "rank")
-    if not isinstance(rank, int):
-        raise PayloadError("rank must be an integer")
+    rank = _need_int(payload, "rank")
     action = CosetAction.from_json(_need(payload, "action"))
     record = schreier_rank(rank, action)
     return record.to_json(), schreier_graph_dot(action)
@@ -200,7 +201,7 @@ def _length_action(spec) -> dict:
     kind = spec.get("type")
     if kind == "cayley":
         _, action = free_group_action(
-            [str(s) for s in _need(spec, "generators")], _need(spec, "radius")
+            [str(s) for s in _need(spec, "generators")], _need_int(spec, "radius")
         )
         return action
     if kind == "tree":

@@ -16,7 +16,7 @@ to exact linear algebra on these profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -593,6 +593,85 @@ def compose(phi: TreeIsometry, psi: TreeIsometry) -> TreeIsometry:
 
 def classify(phi: TreeIsometry) -> IsometryClass:
     return phi.classify()
+
+
+def _word_image(letters: Sequence[TreeIsometry], p: TreePoint, memo: dict,
+                top: Optional[int] = None) -> Optional[TreePoint]:
+    """p under letters[0] o ... o letters[top], or None outside that composite.
+
+    top defaults to the last letter.  The domain is the one compose()
+    gives the composite: a vertex counts only as a listed domain vertex
+    of the letter applied to it, and an edge point only when both ends
+    of its edge are mapped by the letters still to apply.  Points in this
+    domain are in the mapped subtree of the composite that compose()
+    builds, and get the same image there.  memo holds the image of each
+    (level, vertex) pair met so far; without it the edge-end checks would
+    repeat whole chains, exponentially in the word length.
+    """
+    k = len(letters) - 1 if top is None else top
+    seen = []
+    while p is not None and k >= 0:
+        letter = letters[k]
+        if p.is_vertex():
+            key = (k, p.vertex)
+            if key in memo:
+                p = memo[key]
+                break
+            seen.append(key)
+            p = letter.vertex_images.get(p.vertex)
+        else:
+            edge = letter.tree.edges[p.edge]
+            ends = (TreePoint.at_vertex(edge.a), TreePoint.at_vertex(edge.b))
+            if any(_word_image(letters, end, memo, k) is None for end in ends):
+                p = None
+            else:
+                p = letter.apply(p)
+        k -= 1
+    for key in seen:
+        memo[key] = p
+    return p
+
+
+def two_point_length(letters: Sequence[TreeIsometry]) -> Optional[LambdaElement]:
+    """Translation length of letters[0] o ... o letters[-1], certified, or None.
+
+    Takes the first vertex x of the tree whose images gx and g^2x are
+    defined and reads l = max(0, d(x, g^2x) - d(x, gx)) (Culler-Morgan).
+    The point y at (d(x, gx) - l)/2 along [x, gx] projects x onto the
+    axis, or onto the fixed set when l = 0.  The length is returned only
+    when y certifies it: gy = y for l = 0; for l > 0, d(y, gy) = l with
+    y also in the domain of the square.  Then classify() on the composite
+    built by compose() returns the same length, since y lies in the
+    sets it scans.  None means no certificate: no such x, a y outside
+    the group (an inversion over a non-dyadic group), or a y that escapes
+    or fails its check; the caller then composes and classifies.
+    """
+    tree = letters[0].tree
+    # one memo serves letters and letters * 2: a chain from level k < len(letters)
+    # runs through the same letters in both
+    memo: dict = {}
+    for v in tree.vertices:
+        x = TreePoint.at_vertex(v)
+        gx = _word_image(letters, x, memo)
+        if gx is not None:
+            g2x = _word_image(letters, gx, memo)
+            if g2x is not None:
+                break
+    else:
+        return None
+    moved = tree.distance(x, gx)
+    length = max(tree.group.zero(), tree.distance(x, g2x) - moved)
+    if not in_two_lambda(moved - length):
+        return None
+    y = tree.path_walk(x, gx).point_at(half_in_group(moved - length))
+    gy = _word_image(letters, y, memo)
+    if gy is None:
+        return None
+    if length.is_zero():
+        return length if gy == y else None
+    if _word_image(list(letters) * 2, y, memo) is None or tree.distance(y, gy) != length:
+        return None
+    return length
 
 
 def common_fixed_point(phi: TreeIsometry, psi: TreeIsometry):

@@ -23,12 +23,13 @@ from .errors import (
     ClassListMismatch,
     DomainError,
     FieldMismatch,
+    LambdaTreeError,
     NotSupportedAtInfinity,
     SymbolError,
     TreeMismatch,
     TrivialAction,
 )
-from .isometry import TreeIsometry
+from .isometry import TreeIsometry, two_point_length
 from .ordered import LambdaElement, LambdaGroup, ratio
 from .sl2 import Mat2, sl2_translation_length
 from .tree import LambdaTree
@@ -183,19 +184,19 @@ def _as_classes(classes, generators) -> Tuple[ConjClass, ...]:
     return tuple(out)
 
 
-def _tree_length(action: Dict[str, TreeIsometry], tree: LambdaTree, word: Word,
+def _tree_length(action: Dict[str, TreeIsometry], word: Word,
                  inverses: Dict[str, TreeIsometry]) -> LambdaElement:
-    if not word:
-        return tree.group.zero()
-    acc = None
+    letters = []
     for sym, sign in word:
-        if sign == 1:
-            step = action[sym]
-        else:
-            if sym not in inverses:
-                inverses[sym] = action[sym].inverse()
-            step = inverses[sym]
-        acc = step if acc is None else acc.compose(step)
+        if sign == -1 and sym not in inverses:
+            inverses[sym] = action[sym].inverse()
+        letters.append(action[sym] if sign == 1 else inverses[sym])
+    length = two_point_length(letters)
+    if length is not None:
+        return length
+    acc = letters[0]
+    for step in letters[1:]:
+        acc = acc.compose(step)
     return acc.classify().length
 
 
@@ -207,12 +208,27 @@ def _matrix_word(action: Dict[str, Mat2], word: Word) -> Mat2:
     return acc
 
 
+def _class_values(class_list: Sequence[ConjClass], zero: LambdaElement, evaluate) -> List[LambdaElement]:
+    """evaluate(word) per nontrivial class; an error names the class at fault."""
+    values = []
+    for c in class_list:
+        if not c.word:
+            values.append(zero)
+            continue
+        try:
+            values.append(evaluate(c.word))
+        except LambdaTreeError as exc:
+            raise type(exc)(f'class "{c.text}": {exc}') from exc
+    return values
+
+
 def length_function(action: dict, classes: Sequence) -> ClassFunction:
     """Translation lengths of the evaluated class words under an action.
 
     The action maps generator symbols either to TreeIsometry values on a
     common tree or to Mat2 values over a common valued field; negative
-    letters use inverses.
+    letters use inverses.  A tree length comes from two_point_length when
+    it certifies one, and from classify() on the composed word otherwise.
     """
     if not action:
         raise DomainError("empty action")
@@ -224,19 +240,20 @@ def length_function(action: dict, classes: Sequence) -> ClassFunction:
             if v.tree is not tree:
                 raise TreeMismatch("action isometries live on different trees")
         inverses: Dict[str, TreeIsometry] = {}
-        lengths = [_tree_length(action, tree, c.word, inverses) for c in class_list]
+        lengths = _class_values(
+            class_list, tree.group.zero(),
+            lambda word: _tree_length(action, word, inverses),
+        )
         return ClassFunction.make(class_list, lengths)
     if all(isinstance(v, Mat2) for v in values):
         field = values[0].field
         for v in values:
             if v.field != field:
                 raise FieldMismatch("action matrices live over different fields")
-        lengths = []
-        for c in class_list:
-            if not c.word:
-                lengths.append(field.value_group.zero())
-            else:
-                lengths.append(sl2_translation_length(_matrix_word(action, c.word)))
+        lengths = _class_values(
+            class_list, field.value_group.zero(),
+            lambda word: sl2_translation_length(_matrix_word(action, word)),
+        )
         return ClassFunction.make(class_list, lengths)
     raise DomainError("action values must all be TreeIsometry or all Mat2")
 
@@ -393,6 +410,11 @@ def converge_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Most vertices free_group_action builds (39,365 took 1.5 s and 64 MB on a
+# 2-vCPU VM); a larger ball is refused before anything is built.
+MAX_CAYLEY_VERTICES = 100_000
+
+
 def free_group_action(generators: Sequence[str], radius: int) -> Tuple[LambdaTree, Dict[str, TreeIsometry]]:
     """The ball of a free group's Cayley tree with its generator isometries.
 
@@ -407,6 +429,13 @@ def free_group_action(generators: Sequence[str], radius: int) -> Tuple[LambdaTre
         raise SymbolError("generators must be distinct and nonempty")
     if radius < 1:
         raise DomainError("radius must be at least 1")
+    k = len(syms)
+    size = 1 + 2 * radius if k == 1 else 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
+    if size > MAX_CAYLEY_VERTICES:
+        raise DomainError(
+            f"a radius-{radius} ball over {k} generators has {size} vertices,"
+            f" more than {MAX_CAYLEY_VERTICES}"
+        )
     letters = [(s, e) for s in syms for e in (1, -1)]
     group = LambdaGroup(1)
     unit = group.element(1)

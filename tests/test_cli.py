@@ -266,6 +266,34 @@ def test_length_function_action_types(tmp_path, capsys):
     assert code == 1
     assert "action type" in err
 
+    task = write_task(tmp_path, "escapes.json", {
+        "command": "length-function",
+        "payload": {
+            "action": {"type": "cayley", "generators": ["a", "b"], "radius": 2},
+            "classes": ["a", "a b a b"],
+        },
+    })
+    code, out, _ = run_cli(["--task", task], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "OrbitEscapesTree"
+    assert doc["message"].startswith('class "a b a b": ')
+
+    for radius, want in ((True, 1), ("3", 1), (2.0, 1), (40, 2)):
+        task = write_task(tmp_path, "radius.json", {
+            "command": "length-function",
+            "payload": {
+                "action": {"type": "cayley", "generators": ["a", "b"], "radius": radius},
+                "classes": ["a"],
+            },
+        })
+        code, out, err = run_cli(["--task", task], capsys)
+        assert code == want, radius
+        if want == 1:
+            assert "radius must be an integer" in err
+        else:
+            assert json.loads(out)["error"] == "DomainError"
+
 
 def test_theta_mu_converge(tmp_path, capsys):
     task = write_task(tmp_path, "theta.json", {

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,11 +11,14 @@ from lambdatrees.errors import (
     FieldMismatch,
     GroupMismatch,
     NotSupportedAtInfinity,
+    OrbitEscapesTree,
     SymbolError,
     TrivialAction,
 )
+from lambdatrees import lengths as lengths_module
 from lambdatrees.isometry import TreeIsometry
 from lambdatrees.lengths import (
+    MAX_CAYLEY_VERTICES,
     ClassFunction,
     ConjClass,
     ProjectivePoint,
@@ -243,6 +247,28 @@ def test_free_group_action_matches_validating_constructor():
         free_group_action(["a", "a"], 2)
     with pytest.raises(DomainError):
         free_group_action(["a"], 0)
+
+
+def test_free_group_action_refuses_an_oversized_ball_before_building(monkeypatch):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(lengths_module, "LambdaTree", no_tree)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="vertices"):
+        free_group_action(["a", "b"], 40)
+    with pytest.raises(DomainError, match="vertices"):
+        free_group_action(["a"], MAX_CAYLEY_VERTICES)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_length_function_errors_name_the_class():
+    tree, action = free_group_action(["a", "b"], 2)
+    with pytest.raises(OrbitEscapesTree, match='^class "a b a b": composite has empty domain$'):
+        length_function(action, ["a", "b a b a"])
+    K = ValuedField.function_field_at(0)
+    with pytest.raises(DeterminantNotOne, match='^class "a": determinant is t\\^2$'):
+        length_function({"a": mat(K, "t", 0, 0, "t")}, ["", "a"])
 
 
 def test_length_function_matrix_examples():
