@@ -215,24 +215,26 @@ def spanning_tree_edges(gog: GraphOfGroups) -> List[str]:
     return tree
 
 
+def _union(parent: Dict[str, str], a: str, b: str) -> bool:
+    """Join the classes of a and b in a union-find forest; False if already joined."""
+    roots = []
+    for v in (a, b):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        roots.append(v)
+    if roots[0] == roots[1]:
+        return False
+    parent[roots[0]] = roots[1]
+    return True
+
+
 def random_spanning_tree(gog: GraphOfGroups, rng) -> List[str]:
     """A uniform-ish spanning tree from a shuffled edge scan."""
     order = list(gog.edges)
     rng.shuffle(order)
     parent = {v: v for v in gog.vertex_groups}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    for e in order:
-        ra, rb = find(e.tail), find(e.head)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(e.id)
+    tree = [e.id for e in order if _union(parent, e.tail, e.head)]
     if len(tree) != len(gog.vertex_groups) - 1:
         raise NotConnected("graph is not connected")
     return tree
@@ -244,21 +246,12 @@ def _check_spanning_tree(gog: GraphOfGroups, tree: Sequence[str]) -> None:
         if eid not in ids:
             raise InvalidEdge(f"no edge {eid!r}")
     parent = {v: v for v in gog.vertex_groups}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     count = 0
     chosen = set(tree)
     for e in gog.edges:
         if e.id in chosen:
-            ra, rb = find(e.tail), find(e.head)
-            if ra == rb:
+            if not _union(parent, e.tail, e.head):
                 raise DomainError("chosen edges contain a cycle")
-            parent[ra] = rb
             count += 1
     if count != len(gog.vertex_groups) - 1:
         raise DomainError("chosen edges do not span the graph")

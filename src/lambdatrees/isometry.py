@@ -97,22 +97,27 @@ class Subtree:
         raise DomainError("empty subtree has no points")
 
     def distance_to(self, p: TreePoint) -> LambdaElement:
-        p = self.tree.validate_point(p)
+        return self._nearest(self.tree.validate_point(p))[0]
+
+    def _nearest(self, p: TreePoint) -> Tuple[LambdaElement, TreePoint]:
+        """The distance from p and the first point realizing it.
+
+        For a convex subtree, such as a fixed set, that point is the unique
+        projection of p.
+        """
         if self.is_empty():
             raise DomainError("distance to an empty subtree")
-        best = None
-        for v in self.vertices:
-            d = self.tree.distance(p, self.tree.vertex_point(v))
-            if best is None or d < best:
-                best = d
+        candidates = [self.tree.vertex_point(v) for v in self.vertices]
         for eid, spans in self.arcs.items():
             for lo, hi in spans:
                 a = self.tree.edge_point(eid, lo)
                 b = self.tree.edge_point(eid, hi)
-                z = self.tree.median(a, b, p) if a != b else a
-                d = self.tree.distance(p, z)
-                if best is None or d < best:
-                    best = d
+                candidates.append(self.tree.median(a, b, p) if a != b else a)
+        best = None
+        for z in candidates:
+            d = self.tree.distance(p, z)
+            if best is None or d < best[0]:
+                best = (d, z)
         return best
 
     def total_length(self) -> LambdaElement:
@@ -233,6 +238,7 @@ class TreeIsometry:
             raise OrbitEscapesTree("isometry with empty domain")
         self.vertex_images = images
         self._hull_cache: Optional[Tuple[set, Dict[str, Tuple[str, str]]]] = None
+        self._profile_cache: Optional[Tuple[list, list]] = None
         self._image_cache: Dict[str, TreePoint] = {}
         if not _trusted:
             self._validate()
@@ -352,28 +358,25 @@ class TreeIsometry:
                 for v, img in self.vertex_images.items()
             }
             return TreeIsometry(self.tree, images, _trusted=True)
+        # every tree vertex in the image is the image of a hull vertex or
+        # lies on the image path of a hull edge, at its preimage's offset
         members, _ = self._hull()
-        image_points = [self._vertex_image(v) for v in sorted(members)]
-        dom_points = [self.tree.vertex_point(v) for v in sorted(members)]
-        images = {}
-        for w in self.tree.vertices:
-            pw = self.tree.vertex_point(w)
-            preimage = self._inverse_point(pw, image_points, dom_points)
-            if preimage is not None:
-                images[w] = preimage
+        preimages = {}
+        for v in members:
+            img = self._vertex_image(v)
+            if img.is_vertex():
+                preimages[img.vertex] = self.tree.vertex_point(v)
+        for eid in self.hull_edges():
+            edge = self.tree.edges[eid]
+            walk = self.tree.path_walk(self._vertex_image(edge.a), self._vertex_image(edge.b))
+            s = self.tree.group.zero()
+            for (_, o1, o2), w in zip(walk.arcs, walk.interior_vertices()):
+                s = s + (o2 - o1).abs()
+                preimages[w] = self.tree.edge_point(eid, s)
+        images = {w: preimages[w] for w in self.tree.vertices if w in preimages}
         if not images:
             raise OrbitEscapesTree("inverse has empty domain")
         return TreeIsometry(self.tree, images, _trusted=True)
-
-    def _inverse_point(self, target: TreePoint, image_points, dom_points):
-        """Preimage of a point of the image subtree, or None."""
-        for i, a in enumerate(image_points):
-            for j, b in enumerate(image_points):
-                da = self.tree.distance(a, target)
-                if self.tree.distance(a, b) == da + self.tree.distance(target, b):
-                    walk = self.tree.path_walk(dom_points[i], dom_points[j])
-                    return walk.point_at(da)
-        return None
 
     def is_identity(self) -> bool:
         return all(
@@ -431,18 +434,28 @@ class TreeIsometry:
             c = c2
         return pieces
 
+    def _profile(self) -> Tuple[list, list]:
+        """The displacement function, computed once per map.
+
+        Holds (vertex, displacement) for each hull vertex in sorted order,
+        and (edge id, pieces) for each hull edge, pieces as _edge_pieces
+        gives them.
+        """
+        if self._profile_cache is None:
+            members, _ = self._hull()
+            vertices = [
+                (v, self.displacement(self.tree.vertex_point(v))) for v in sorted(members)
+            ]
+            edges = [(eid, self._edge_pieces(eid)) for eid in self.hull_edges()]
+            self._profile_cache = (vertices, edges)
+        return self._profile_cache
+
     def minimum_displacement(self) -> Tuple[LambdaElement, TreePoint]:
         """Exact minimum of d(x, phi x) over the mapped subtree, with witness."""
-        members, _ = self._hull()
-        best = None
-        witness = None
-        for v in sorted(members):
-            p = self.tree.vertex_point(v)
-            d = self.displacement(p)
-            if best is None or d < best:
-                best, witness = d, p
-        for eid in self.hull_edges():
-            for lo, hi, f_lo, f_hi, bottom2 in self._edge_pieces(eid):
+        vertices, edges = self._profile()
+        witness, best = min(vertices, key=lambda vd: vd[1])
+        for eid, pieces in edges:
+            for lo, hi, f_lo, f_hi, bottom2 in pieces:
                 if bottom2 is None:
                     continue  # affine: endpoints already cover the minimum
                 if in_two_lambda(bottom2):
@@ -453,20 +466,17 @@ class TreeIsometry:
                 raise DomainError(
                     "displacement minimum is not attained at group points"
                 )
-        return (best, witness)
+        return (best, self.tree.vertex_point(witness))
 
     def level_set(self, target: LambdaElement) -> Subtree:
         """All points of the mapped subtree displaced by exactly target."""
-        members, _ = self._hull()
+        displaced, edges = self._profile()
         zero = self.tree.group.zero()
-        vertices = set()
-        for v in members:
-            if self.displacement(self.tree.vertex_point(v)) == target:
-                vertices.add(v)
+        vertices = {v for v, d in displaced if d == target}
         arcs: Dict[str, list] = {}
-        for eid in self.hull_edges():
+        for eid, pieces in edges:
             spans = []
-            for lo, hi, f_lo, f_hi, bottom2 in self._edge_pieces(eid):
+            for lo, hi, f_lo, f_hi, bottom2 in pieces:
                 if bottom2 is not None:
                     # f(s) = |2s - bottom2|: candidates 2s = bottom2 -+ target
                     for num in (bottom2 - target, bottom2 + target):
@@ -510,16 +520,16 @@ class TreeIsometry:
         squared = self.compose(self)
         fixed2 = squared.fixed_set()
         if not fixed2.is_empty():
-            lam = fixed2.total_length()
-            ends = _diameter_pair(fixed2)
-            if self.tree.distance(*ends) != lam:
-                raise NotAnIsometry("flipped point set is not a segment")
+            # the longest segment g flips: from the first extreme point of
+            # Fix(g^2) that g moves farthest, to its image
+            moved = [(self.displacement(x), x) for x in fixed2.boundary_points()]
+            lam, start = max(moved, key=lambda dx: dx[0])
             if in_two_lambda(lam):
                 raise NotAnIsometry("flipped segment length is divisible by 2")
             return IsometryClass(
                 "inversion",
                 zero,
-                flipped_segment=self.tree.segment(*ends),
+                flipped_segment=self.tree.segment(start, self.apply(start)),
                 flipped_length=lam,
             )
         tau2, _ = squared.minimum_displacement()
@@ -550,19 +560,6 @@ class TreeIsometry:
 
     def __str__(self):
         return f"TreeIsometry({len(self.vertex_images)} mapped vertices)"
-
-
-def _diameter_pair(sub: Subtree) -> Tuple[TreePoint, TreePoint]:
-    """The pair of extreme points realizing the subtree's diameter."""
-    pts = sub.boundary_points()
-    best = (pts[0], pts[0])
-    best_d = sub.tree.group.zero()
-    for i, p in enumerate(pts):
-        for q in pts[i:]:
-            d = sub.tree.distance(p, q)
-            if d > best_d:
-                best, best_d = (p, q), d
-    return best
 
 
 def _absorb_arc_endpoints(sub: Subtree) -> Subtree:
@@ -685,31 +682,14 @@ def common_fixed_point(phi: TreeIsometry, psi: TreeIsometry):
     common = f_phi.intersection(f_psi)
     if not common.is_empty():
         return common.canonical_point()
-    # bridge from F_phi to F_psi: project each boundary point of one set
-    # onto the other and keep the closest pair
+    # bridge from F_phi to F_psi: project each boundary point of F_phi
+    # onto the convex set F_psi and keep the closest pair
     best = None
     for p in f_phi.boundary_points():
-        d = f_psi.distance_to(p)
+        d, q = f_psi._nearest(p)
         if best is None or d < best[0]:
-            best = (d, p)
-    gap, start = best
-    # the matching endpoint on F_psi is the projection of start
-    end = None
-    for q in f_psi.boundary_points():
-        if phi.tree.distance(start, q) == gap:
-            end = q
-            break
-    if end is None:
-        for eid, spans in f_psi.arcs.items():
-            for lo, hi in spans:
-                a = phi.tree.edge_point(eid, lo)
-                b = phi.tree.edge_point(eid, hi)
-                z = phi.tree.median(a, b, start) if a != b else a
-                if phi.tree.distance(start, z) == gap:
-                    end = z
-                    break
-            if end is not None:
-                break
+            best = (d, p, q)
+    gap, start, end = best
     composite = phi.compose(psi)
     disp, at = composite.minimum_displacement()
     return NoCommonFixedPoint(

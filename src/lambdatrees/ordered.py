@@ -153,13 +153,6 @@ class LambdaElement:
     def abs(self) -> "LambdaElement":
         return self if self.sign() >= 0 else -self
 
-    def leading_index(self) -> int | None:
-        """Index of the first nonzero coordinate, None for zero."""
-        for i, c in enumerate(self.coords):
-            if c != 0:
-                return i
-        return None
-
     def to_json(self) -> list:
         return [str(c) for c in self.coords]
 

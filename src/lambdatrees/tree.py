@@ -113,15 +113,7 @@ class LambdaTree:
     def _check_tree_shape(self) -> None:
         if len(self.edges) != len(self.vertices) - 1:
             raise DomainError("edge count does not match a tree")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for _, w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if len(_reachable(self.adjacency, self.vertices[0])) != len(self.vertices):
             raise DomainError("graph is not connected")
 
     # -- point handling ------------------------------------------------
@@ -233,18 +225,22 @@ class LambdaTree:
         edge = self.edges[p.edge]
         return [(edge.a, p.offset), (edge.b, edge.length - p.offset)]
 
+    def _exit_pair(self, p: TreePoint, q: TreePoint) -> Tuple[LambdaElement, str, str]:
+        """The shortest route from p to q through vertices: (length, exit of p, entry of q)."""
+        best = None
+        for ep, cp in self._exit_costs(p):
+            for eq, cq in self._exit_costs(q):
+                cand = cp + self.vertex_distance(ep, eq) + cq
+                if best is None or cand < best[0]:
+                    best = (cand, ep, eq)
+        return best
+
     def distance(self, p: TreePoint, q: TreePoint) -> LambdaElement:
         p = self.validate_point(p)
         q = self.validate_point(q)
         if not p.is_vertex() and not q.is_vertex() and p.edge == q.edge:
             return (p.offset - q.offset).abs()
-        best = None
-        for ep, cp in self._exit_costs(p):
-            for eq, cq in self._exit_costs(q):
-                cand = cp + self.vertex_distance(ep, eq) + cq
-                if best is None or cand < best:
-                    best = cand
-        return best
+        return self._exit_pair(p, q)[0]
 
     def path_walk(self, p: TreePoint, q: TreePoint) -> "PathWalk":
         p = self.validate_point(p)
@@ -254,13 +250,7 @@ class LambdaTree:
         if not p.is_vertex() and not q.is_vertex() and p.edge == q.edge:
             arcs = [(p.edge, p.offset, q.offset)]
             return PathWalk(self, p, q, arcs, (p.offset - q.offset).abs())
-        best = None
-        for ep, cp in self._exit_costs(p):
-            for eq, cq in self._exit_costs(q):
-                cand = cp + self.vertex_distance(ep, eq) + cq
-                if best is None or cand < best[0]:
-                    best = (cand, ep, eq)
-        total, ep, eq = best
+        total, ep, eq = self._exit_pair(p, q)
         arcs: List[Tuple[str, LambdaElement, LambdaElement]] = []
         if not p.is_vertex():
             edge = self.edges[p.edge]
@@ -324,10 +314,6 @@ class LambdaTree:
 
         edges = [(e.a, e.b, embed(e.length)) for e in self._edge_list()]
         return LambdaTree(target, self.vertices, edges, [e.id for e in self._edge_list()])
-
-    def embed_length(self, x: LambdaElement, target: LambdaGroup) -> LambdaElement:
-        pad = (Fraction(0),) * (target.rank - x.group.rank)
-        return LambdaElement(x.coords + pad, target)
 
     def convex_quotient_tree(self, subgroup: ConvexSubgroup) -> "QuotientResult":
         if subgroup.group != self.group:
@@ -525,14 +511,7 @@ def _structural_report(group, vertices, edges) -> Optional[dict]:
         adjacency[a].append((i, b))
         adjacency[b].append((i, a))
     # connectivity
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        v = stack.pop()
-        for _, w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    seen = _reachable(adjacency, ids[0])
     if len(seen) != len(ids):
         inside = ids[0]
         outside = next(v for v in ids if v not in seen)
@@ -551,6 +530,19 @@ def _structural_report(group, vertices, edges) -> Optional[dict]:
             "witness": f"two distinct segments join {u} and {v}: cycle detected",
         }
     return None
+
+
+def _reachable(adjacency, start: str) -> set:
+    """Vertices joined to start, by depth-first search over (edge, neighbour) lists."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for _, w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _find_cycle(ids, adjacency) -> Tuple[str, str]:

@@ -182,40 +182,6 @@ class Polynomial:
             acc = acc * point + c
         return acc
 
-    def shift(self, c: Fraction) -> "Polynomial":
-        """The polynomial p(t + c)."""
-        acc = Polynomial([])
-        x_plus_c = Polynomial([Fraction(c), Fraction(1)])
-        for coef in reversed(self.coeffs):
-            acc = acc * x_plus_c + Polynomial.constant(coef)
-        return acc
-
-    def reversed_coeffs(self) -> "Polynomial":
-        """t^deg * p(1/t): the coefficient sequence reversed."""
-        return Polynomial(list(reversed(self.coeffs)))
-
-    def order_at_zero(self) -> int:
-        if self.is_zero():
-            raise DomainError("zero polynomial has unbounded order")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError("unreachable")
-
-    def truncate(self, k: int) -> "Polynomial":
-        return Polynomial(self.coeffs[:k])
-
-    def series_inverse(self, k: int) -> "Polynomial":
-        """Multiplicative inverse modulo t^k; requires a nonzero constant term."""
-        if self.is_zero() or self.coeffs[0] == 0:
-            raise DomainError("series inversion needs a unit constant term")
-        inv = Polynomial.constant(1 / self.coeffs[0])
-        prec = 1
-        while prec < k:
-            prec = min(2 * prec, k)
-            inv = (inv * (2 - self.truncate(prec) * inv)).truncate(prec)
-        return inv.truncate(k)
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -289,16 +255,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise DomainError("not a constant rational function")
-        if self.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
 
     def __eq__(self, other):
         other = _as_rf(other)
@@ -726,14 +682,6 @@ class ValuedField:
         if self.kind == "at_infinity":
             return "(Q(t), v_inf)"
         return f"(Q(t), v at t={self.point})"
-
-
-def valuation(x, field: ValuedField):
-    return field.valuation(x)
-
-
-def residue(x, field: ValuedField):
-    return field.residue(x)
 
 
 def is_formally_real(field: ValuedField) -> bool:

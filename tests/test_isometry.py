@@ -73,6 +73,22 @@ def test_unit_edge_flip_is_inversion():
     assert ends == {t.vertex_point("v0"), t.vertex_point("v1")}
 
 
+def test_inversion_whose_square_fixes_a_non_segment():
+    # a1, a2 - b - c - d1, d2 with unit edges; swapping the halves squares
+    # to the identity, so Fix(g^2) is the whole tree, not a segment
+    t = LambdaTree(Z1, ["a1", "a2", "b", "c", "d1", "d2"], [
+        ("a1", "b", Z1.element(1)), ("a2", "b", Z1.element(1)), ("b", "c", Z1.element(1)),
+        ("c", "d1", Z1.element(1)), ("c", "d2", Z1.element(1)),
+    ])
+    swap = vertex_map(t, {"a1": "d1", "a2": "d2", "b": "c", "c": "b", "d1": "a1", "d2": "a2"})
+    cls = swap.classify()
+    assert cls.kind == "inversion"
+    assert cls.length.is_zero()
+    assert cls.flipped_segment.p == t.vertex_point("a1")
+    assert cls.flipped_segment.q == t.vertex_point("d1")
+    assert cls.flipped_length == Z1.element(3)
+
+
 def test_flip_becomes_elliptic_over_dyadics():
     t = LambdaTree(Z1, ["v0", "v1"], [("v0", "v1", Z1.element(1))])
     t2 = t.base_change(D1)

@@ -8,6 +8,7 @@ certificate is refused the fallback's value or error class stands.
 """
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -155,6 +156,25 @@ def inverse_or_none(phi):
         return None
 
 
+def all_pairs_inverse(phi):
+    """The inverse by search: for each tree vertex, the first pair of hull
+    images whose segment holds it gives its preimage on the matching
+    segment of the domain.  Quadratic in the hull per tree vertex.
+    """
+    tree = phi.tree
+    hull = [tree.vertex_point(v) for v in sorted(phi.hull_vertices())]
+    images = [phi.apply(p) for p in hull]
+    found = {}
+    for w in tree.vertices:
+        target = tree.vertex_point(w)
+        for (a, pa), (b, pb) in itertools.product(zip(images, hull), repeat=2):
+            da = tree.distance(a, target)
+            if tree.distance(a, b) == da + tree.distance(target, b):
+                found[w] = tree.path_walk(pa, pb).point_at(da)
+                break
+    return found
+
+
 def compose_then_classify(letters):
     """The fallback path: its length, or the class of the error it raises."""
     try:
@@ -274,3 +294,58 @@ def test_long_words_of_edge_point_letters_take_polynomial_work(monkeypatch):
 
     monkeypatch.setattr(TreeIsometry, "apply", counted)
     assert two_point_length([g] * m) == group.element(m)
+
+
+def half_edge_glides(rng, group):
+    """Maps by multiples of a half unit on a path listed in random vertex order.
+
+    Edges are 1 to 3 half units long, so images mix vertices and edge
+    points.  Two glides translate by one and two half units; the mirror
+    reverses the path, so its edge images run backward.
+    """
+    half = random_length(rng, group)
+    n = rng.randint(3, 8)
+    names = [f"p{i}" for i in range(n + 1)]
+    lengths = [rng.randint(1, 3) * half for _ in range(n)]
+    tree = LambdaTree(group, rng.sample(names, len(names)),
+                      [(names[i], names[i + 1], lengths[i]) for i in range(n)])
+    ends = list(itertools.accumulate(lengths, initial=group.zero()))
+
+    def move(f):
+        images = {}
+        for v, x in zip(names, ends):
+            for i in range(n):
+                if ends[i] <= f(x) <= ends[i + 1]:
+                    images[v] = tree.edge_point(f"e{i}", f(x) - ends[i])
+                    break
+        return TreeIsometry(tree, images)
+
+    return move(lambda x: x + half), move(lambda x: x + 2 * half), move(lambda x: ends[-1] - half - x)
+
+
+def test_inverse_matches_the_all_pairs_preimage_search():
+    # only maps with an edge-point image reach the edge-by-edge inversion;
+    # vertex-to-vertex maps invert by swapping pairs
+    rng = random.Random(6)
+    compared = 0
+    for case in range(12):
+        group = GROUPS[case % len(GROUPS)]
+        _, g, h = half_edge_pair(rng, group)
+        glide, glide2, mirror = half_edge_glides(rng, group)
+        maps = [g, glide, glide2, mirror]
+        for outer, inner in ((g, h), (h, g), (glide, glide2), (glide2, mirror), (mirror, glide)):
+            try:
+                maps.append(outer.compose(inner))
+            except OrbitEscapesTree:
+                pass
+        for phi in maps:
+            if all(img.is_vertex() for img in phi.vertex_images.values()):
+                continue
+            want = all_pairs_inverse(phi)
+            if not want:
+                with pytest.raises(OrbitEscapesTree, match="^inverse has empty domain$"):
+                    phi.inverse()
+                continue
+            assert list(phi.inverse().vertex_images.items()) == list(want.items())
+            compared += 1
+    assert compared >= 80, compared
