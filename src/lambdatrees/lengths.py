@@ -267,13 +267,18 @@ def projectivize(f: ClassFunction) -> ProjectivePoint:
     return ProjectivePoint.make(f.classes, coords, exact=True)
 
 
-def _float_matrix(value) -> Tuple[float, float, float, float]:
+def _float_matrix(sym: str, value) -> Tuple[float, float, float, float]:
     try:
         a, b = value[0]
         c, d = value[1]
-        return (float(a), float(b), float(c), float(d))
-    except (TypeError, ValueError, IndexError):
+        entries = (float(a), float(b), float(c), float(d))
+    except (TypeError, ValueError, IndexError, OverflowError):
         raise DomainError("a real matrix must be a 2x2 array of numbers")
+    for i, x in enumerate(entries):
+        if not math.isfinite(x):
+            entry = f"[{i // 2}][{i % 2}]"
+            raise DomainError(f'matrix of generator "{sym}": entry {entry} is {x}, not finite')
+    return entries
 
 
 def _float_word(rep: Dict[str, Tuple[float, float, float, float]], word: Word) -> Tuple[float, float, float, float]:
@@ -294,12 +299,14 @@ def theta(rep: dict, classes: Sequence) -> ProjectivePoint:
     """Normalized log-trace coordinates of a real matrix family."""
     if not rep:
         raise DomainError("empty representation")
-    matrices = {sym: _float_matrix(m) for sym, m in rep.items()}
+    matrices = {sym: _float_matrix(sym, m) for sym, m in rep.items()}
     class_list = _as_classes(classes, set(matrices))
     raw = []
     for c in class_list:
         a, _, _, d = _float_word(matrices, c.word)
         tr = abs(a + d)
+        if not math.isfinite(tr):
+            raise DomainError(f'class "{c.text}": the trace of the word product is not finite')
         raw.append(math.log(tr) if tr > 1.0 else 0.0)
     top = max(raw)
     if top == 0.0:

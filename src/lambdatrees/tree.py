@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
-    EmbeddingError,
     GroupMismatch,
     InvalidEdge,
     InvalidPoint,
@@ -26,6 +24,7 @@ from .ordered import (
     LambdaElement,
     LambdaGroup,
     convex_quotient,
+    embedding,
     half_in_group,
     in_two_lambda,
 )
@@ -97,7 +96,9 @@ class LambdaTree:
                 raise InvalidEdge(f"edge {eid} touches unknown vertex")
             if a == b:
                 raise InvalidEdge(f"edge {eid} is a self-loop")
-            if not isinstance(length, LambdaElement) or length.group != group:
+            if not isinstance(length, LambdaElement) or (
+                length.group is not group and length.group != group
+            ):
                 raise GroupMismatch(f"edge {eid} length is not in the tree's group")
             if not length.is_positive():
                 raise InvalidEdge(f"edge {eid} has nonpositive length")
@@ -302,16 +303,7 @@ class LambdaTree:
     # -- structural transforms --------------------------------------------
 
     def base_change(self, target: LambdaGroup) -> "LambdaTree":
-        src = self.group
-        if target.rank < src.rank:
-            raise EmbeddingError("target group rank is smaller than the source rank")
-        if src.dyadic and not target.dyadic:
-            raise EmbeddingError("dyadic lengths do not embed in an integer group")
-
-        def embed(x: LambdaElement) -> LambdaElement:
-            pad = (Fraction(0),) * (target.rank - src.rank)
-            return LambdaElement(x.coords + pad, target)
-
+        embed = embedding(self.group, target)
         edges = [(e.a, e.b, embed(e.length)) for e in self._edge_list()]
         return LambdaTree(target, self.vertices, edges, [e.id for e in self._edge_list()])
 

@@ -60,6 +60,10 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
+# The value group of every built-in valuation, shared so that group checks
+# succeed on identity.
+_VALUE_GROUP = LambdaGroup(1)
+
 
 def is_infinite(value) -> bool:
     return isinstance(value, _Infinity)
@@ -437,14 +441,37 @@ def parse_rational_function(text: str) -> RationalFunction:
     return _ExpressionParser(text).parse()
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 2017); the first 12 alone stop at 3.2e23.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    if not isinstance(n, int):
+        raise DomainError(f"p = {n!r} is not an integer")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _PRIME_TEST_LIMIT:
+        raise DomainError(f"p = {n} is too large to test; p must be below {_PRIME_TEST_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -519,7 +546,7 @@ class ValuedField:
 
     @property
     def value_group(self) -> LambdaGroup:
-        return LambdaGroup(1)
+        return _VALUE_GROUP
 
     def zero(self) -> FieldElement:
         return Fraction(0) if self.base == "Q" else RationalFunction.constant(0)
@@ -562,14 +589,14 @@ class ValuedField:
             if x == 0:
                 return INFINITY
             v = _int_valuation(x.numerator, self.p) - _int_valuation(x.denominator, self.p)
-            return self.value_group.element(v)
-        if x.is_zero():
+        elif x.is_zero():
             return INFINITY
-        if self.kind == "at_point":
+        elif self.kind == "at_point":
             v = self._order_at_point(x.num) - self._order_at_point(x.den)
-            return self.value_group.element(v)
-        v = x.den.degree - x.num.degree
-        return self.value_group.element(v)
+        else:
+            v = x.den.degree - x.num.degree
+        # v is an int computed here, so the element skips validation
+        return LambdaElement((v,), _VALUE_GROUP, 0)
 
     def _order_at_point(self, poly: Polynomial) -> int:
         c = self.point

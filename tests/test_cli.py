@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -460,3 +461,31 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "inversion"
+
+
+def test_theta_with_a_nan_entry_fails_instead_of_reading_zero(tmp_path, capsys):
+    task = write_task(tmp_path, "nan.json", {
+        "command": "theta",
+        "payload": {"matrices": {"a": [[2.0, 0.0], [0.0, 0.5]],
+                                 "b": [[float("nan"), 1.0], [0.0, 1.0]]},
+                    "classes": ["a", "b", "a b"]},
+    })
+    code, out, _ = run_cli(["--task", task], capsys)
+    assert code in (1, 2)
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError"
+    assert doc["message"] == 'matrix of generator "b": entry [0][0] is nan, not finite'
+
+
+def test_large_prime_field_answers_in_bounded_time(tmp_path, capsys):
+    for p, want in ((10**18 + 3, 0), (2**61 + 1, 2), (10**30 + 57, 2)):
+        task = write_task(tmp_path, "bigp.json", {
+            "command": "sl2-act",
+            "payload": {"field": {"field": "Q", "p": p}, "matrix": ["1", "0", "0", "1"]},
+        })
+        start = time.perf_counter()
+        code, out, _ = run_cli(["--task", task], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == want, p
+        if want == 2:
+            assert json.loads(out)["error"] == "DomainError"

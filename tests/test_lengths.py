@@ -454,3 +454,14 @@ def test_mu_theta_agree_in_the_limit_for_two_generator_family():
     report = converge_check(family, [10**k for k in range(1, 7)], classes)
     assert report["converged"] is True
     assert report["distance"][-1] < 1e-6
+
+
+def test_theta_rejects_non_finite_entries_and_traces():
+    diag = [[2.0, 0.0], [0.0, 0.5]]
+    for bad in (float("nan"), float("inf"), "-inf"):
+        with pytest.raises(DomainError, match=r'generator "b": entry \[0\]\[0\]'):
+            theta({"a": diag, "b": [[bad, 1.0], [0.0, 1.0]]}, ["a", "b", "a b"])
+    huge = {"a": [[1e200, 0.0], [0.0, 1e-200]]}
+    assert theta(huge, ["a"]).coords == (1.0,)
+    with pytest.raises(DomainError, match='class "a a": the trace of the word product'):
+        theta(huge, ["a", "a a"])

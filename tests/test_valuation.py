@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from lambdatrees.valuation import (
     Polynomial,
     RationalFunction,
     ValuedField,
+    _is_prime,
     is_formally_real,
     is_infinite,
     parse_rational_function,
@@ -239,3 +241,35 @@ def test_element_strings_round_trip_through_field():
         assert Q2.element_from_string(str(x)) == x
         y = rand_rf(rng)
         assert FT0.element_from_string(FT0.element_to_string(y)) == y
+
+
+def _prime_by_trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    mismatches = [n for n in range(10**5) if _is_prime(n) != _prime_by_trial_division(n)]
+    assert mismatches == []
+
+
+def test_is_prime_on_large_p_is_fast_and_bounded():
+    for p, prime in ((2**61 - 1, True), (2**61 + 1, False), (10**18 + 3, True),
+                     (3215031751, False), (3825123056546413051, False)):
+        start = time.perf_counter()
+        assert _is_prime(p) is prime, p
+        assert time.perf_counter() - start < 1.0
+    assert ValuedField.rationals(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(DomainError, match="is not prime"):
+        ValuedField.rationals(2**61 + 1)
+    with pytest.raises(DomainError, match="p = 43.0 is not an integer"):
+        ValuedField.rationals(43.0)
+    big = 10**25 + 13
+    with pytest.raises(DomainError, match=f"p = {big} is too large"):
+        ValuedField.rationals(big)
