@@ -81,8 +81,8 @@ def _field(obj) -> ValuedField:
     return ValuedField.from_json(obj)
 
 
-def _matrix(field: ValuedField, entries) -> Mat2:
-    return Mat2.from_json(field, entries)
+def _matrices(field: ValuedField, entries: dict) -> dict:
+    return {str(sym): Mat2.from_json(field, matrix) for sym, matrix in entries.items()}
 
 
 def _point_from_json(obj) -> ProjectivePoint:
@@ -134,9 +134,9 @@ def _run_quotient(payload, args):
 
 def _run_sl2_act(payload, args):
     field = _field(_need(payload, "field"))
-    g = _matrix(field, _need(payload, "matrix"))
+    g = Mat2.from_json(field, _need(payload, "matrix"))
     if "vertex" in payload:
-        x = canonical_vertex(_matrix(field, payload["vertex"]))
+        x = canonical_vertex(Mat2.from_json(field, payload["vertex"]))
     else:
         x = base_vertex(field)
     image = act(g, x)
@@ -147,7 +147,7 @@ def _run_sl2_ball(payload, args):
     field = _field(_need(payload, "field"))
     radius = _need_int(payload, "radius")
     if "center" in payload:
-        center = canonical_vertex(_matrix(field, payload["center"]))
+        center = canonical_vertex(Mat2.from_json(field, payload["center"]))
     else:
         center = base_vertex(field)
     b = ball(center, radius)
@@ -162,7 +162,7 @@ def _run_sl2_ball(payload, args):
 
 def _run_sl2_length(payload, args):
     field = _field(_need(payload, "field"))
-    g = _matrix(field, _need(payload, "matrix"))
+    g = Mat2.from_json(field, _need(payload, "matrix"))
     tau = sl2_translation_length(g)
     fixed = find_fixed_vertex(g)
     return {
@@ -212,10 +212,7 @@ def _length_action(spec) -> dict:
         }
     if kind == "matrix":
         field = _field(_need(spec, "field"))
-        return {
-            str(sym): _matrix(field, entries)
-            for sym, entries in _need(spec, "matrices").items()
-        }
+        return _matrices(field, _need(spec, "matrices"))
     raise PayloadError("action type must be cayley, tree, or matrix")
 
 
@@ -234,20 +231,14 @@ def _run_theta(payload, args):
 
 def _run_mu(payload, args):
     field = _field(_need(payload, "field"))
-    matrices = {
-        str(sym): _matrix(field, entries)
-        for sym, entries in _need(payload, "matrices").items()
-    }
+    matrices = _matrices(field, _need(payload, "matrices"))
     point, raw = mu(matrices, _need(payload, "classes"))
     return {"point": point.to_json(), "raw": raw.to_json()}, None
 
 
 def _run_converge_check(payload, args):
     field = _field(_need(payload, "field"))
-    family = {
-        str(sym): _matrix(field, entries)
-        for sym, entries in _need(payload, "family").items()
-    }
+    family = _matrices(field, _need(payload, "family"))
     limit = None
     if payload.get("limit") is not None:
         limit = _point_from_json(payload["limit"])

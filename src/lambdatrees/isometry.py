@@ -81,11 +81,7 @@ class Subtree:
                 out.append(self.tree.edge_point(eid, lo))
                 if hi != lo:
                     out.append(self.tree.edge_point(eid, hi))
-        seen = []
-        for p in out:
-            if p not in seen:
-                seen.append(p)
-        return seen
+        return list(dict.fromkeys(out))
 
     def canonical_point(self) -> TreePoint:
         if self.vertices:
@@ -222,7 +218,8 @@ class TreeIsometry:
     """A distance-preserving vertex map into the same tree.
 
     vertex_images maps a nonempty subset of vertices to tree points; the
-    map extends uniquely over the subtree those vertices span.
+    map extends uniquely over the subtree those vertices span.  _trusted
+    images are canonical points the package built, taken unchecked.
     """
 
     def __init__(self, tree: LambdaTree, vertex_images: Dict[str, TreePoint], _trusted=False):
@@ -233,7 +230,7 @@ class TreeIsometry:
         for v, p in vertex_images.items():
             if v not in tree.adjacency:
                 raise InvalidPoint(f"unknown domain vertex {v!r}")
-            images[v] = tree.validate_point(p)
+            images[v] = p if _trusted else tree.validate_point(p)
         if not images:
             raise OrbitEscapesTree("isometry with empty domain")
         self.vertex_images = images
@@ -316,9 +313,10 @@ class TreeIsometry:
         p = self.tree.validate_point(p)
         if p.is_vertex():
             return self._vertex_image(p.vertex)
-        if not self.domain_contains(p):
-            raise OrbitEscapesTree(f"point {p} is outside the mapped subtree")
         edge = self.tree.edges[p.edge]
+        members, _ = self._hull()
+        if edge.a not in members or edge.b not in members:
+            raise OrbitEscapesTree(f"point {p} is outside the mapped subtree")
         ia = self._vertex_image(edge.a)
         ib = self._vertex_image(edge.b)
         walk = self.tree.path_walk(ia, ib)

@@ -25,6 +25,7 @@ from .ordered import LambdaElement
 from .valuation import INFINITY, ValuedField, is_infinite
 
 MAX_RESIDUE_PRIME = 13
+MAX_BALL_VERTICES = 100_000  # 1 + (p+1)(p^r - 1)/(p - 1), checked before ball builds
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,14 @@ class LatticeBall:
 def ball(center: LatticeVertex, radius: int) -> LatticeBall:
     if radius < 0:
         raise DomainError("radius must be nonnegative")
+    field = center.field
+    if field.kind == "p_adic" and field.p <= MAX_RESIDUE_PRIME:  # neighbors refuses larger p
+        size, sphere = 1, field.p + 1
+        for _ in range(radius):
+            size, sphere = size + sphere, sphere * field.p
+            if size > MAX_BALL_VERTICES:
+                raise DomainError(f"a radius-{radius} ball in the tree of Q_{field.p} has "
+                                  f"more than {MAX_BALL_VERTICES} vertices")
     order = [center]
     dist = {center: 0}
     edges = []

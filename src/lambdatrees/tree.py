@@ -68,9 +68,6 @@ class Edge:
     b: str
     length: LambdaElement
 
-    def other(self, v: str) -> str:
-        return self.b if v == self.a else self.a
-
 
 class LambdaTree:
     """Immutable finite tree over an ordered abelian group."""
@@ -146,11 +143,30 @@ class LambdaTree:
         return TreePoint.on_edge(eid, offset)
 
     def validate_point(self, p: TreePoint) -> TreePoint:
+        """p itself when it is canonical, else its canonical form.
+
+        Canonical is a known vertex, or an offset of the tree's group strictly
+        inside a known edge.  Anything else goes through vertex_point or
+        edge_point, which normalize it or raise InvalidPoint.
+        """
         if not isinstance(p, TreePoint):
             raise InvalidPoint(f"not a tree point: {p!r}")
-        if p.is_vertex():
+        if p.kind == "vertex":
+            if p.vertex in self.adjacency and p.edge is None and p.offset is None:
+                return p
             return self.vertex_point(p.vertex)
-        return self.edge_point(p.edge, p.offset)
+        edge, offset, group = self.edges.get(p.edge), p.offset, self.group
+        if (
+            p.kind == "interior"
+            and p.vertex is None
+            and edge is not None
+            and isinstance(offset, LambdaElement)
+            and (offset.group is group or offset.group == group)
+            and offset.is_positive()
+            and offset < edge.length
+        ):
+            return p
+        return self.edge_point(p.edge, offset)
 
     def point_from_json(self, obj) -> TreePoint:
         if isinstance(obj, str):
@@ -196,95 +212,83 @@ class LambdaTree:
     def vertex_distance(self, u: str, v: str) -> LambdaElement:
         if u == v:
             return self.group.zero()
-        self._ensure_rooted()
-        w = self.lowest_common_ancestor(u, v)
-        wd = self._wdepth
-        return (wd[u] - wd[w]) + (wd[v] - wd[w])
+        return self._meet(TreePoint.at_vertex(u), TreePoint.at_vertex(v))[0]
 
     def vertex_path(self, u: str, v: str) -> List[str]:
         """Vertices along the unique path, endpoints included."""
-        self._ensure_rooted()
         w = self.lowest_common_ancestor(u, v)
-        up = []
-        x = u
-        while x != w:
-            up.append(x)
-            x = self._parent[x][0]
-        down = []
-        x = v
-        while x != w:
-            down.append(x)
-            x = self._parent[x][0]
-        return up + [w] + list(reversed(down))
+        down = [x for x, _ in reversed(self._climb(v, w))]
+        return [x for x, _ in self._climb(u, w)] + [w] + down
 
     # -- metric ----------------------------------------------------------
 
-    def _exit_costs(self, p: TreePoint) -> List[Tuple[str, LambdaElement]]:
-        """Vertices through which paths leave p, with the cost of reaching them."""
-        if p.is_vertex():
-            return [(p.vertex, self.group.zero())]
+    def _anchor(self, p: TreePoint) -> Tuple[str, LambdaElement]:
+        """The lower end of p's edge (p itself for a vertex), and p's height above the root."""
+        if p.kind == "vertex":
+            return p.vertex, self._wdepth[p.vertex]
         edge = self.edges[p.edge]
-        return [(edge.a, p.offset), (edge.b, edge.length - p.offset)]
+        if self._depth[edge.b] > self._depth[edge.a]:
+            return edge.b, self._wdepth[edge.a] + p.offset
+        return edge.a, self._wdepth[edge.a] - p.offset
 
-    def _exit_pair(self, p: TreePoint, q: TreePoint) -> Tuple[LambdaElement, str, str]:
-        """The shortest route from p to q through vertices: (length, exit of p, entry of q)."""
-        best = None
-        for ep, cp in self._exit_costs(p):
-            for eq, cq in self._exit_costs(q):
-                cand = cp + self.vertex_distance(ep, eq) + cq
-                if best is None or cand < best[0]:
-                    best = (cand, ep, eq)
-        return best
+    def _meet(self, p: TreePoint, q: TreePoint) -> Tuple[LambdaElement, str, str, str]:
+        """d(p, q) = h(p) + h(q) - 2 h(p^q), with both anchors and their lowest common ancestor w.
+
+        p^q is where the paths from p and q to the root meet: the higher
+        of p and q when w is one of the anchors, and w otherwise.
+        """
+        self._ensure_rooted()
+        cp, hp = self._anchor(p)
+        cq, hq = self._anchor(q)
+        w = self.lowest_common_ancestor(cp, cq)
+        if w == cp or w == cq:
+            return (hp - hq).abs(), cp, cq, w
+        top = self._wdepth[w]
+        return (hp - top) + (hq - top), cp, cq, w
+
+    def _climb(self, x: str, top: str) -> List[Tuple[str, str]]:
+        """(vertex, edge to its parent) for each step from x up to its ancestor top."""
+        steps = []
+        while x != top:
+            up, eid = self._parent[x]
+            steps.append((x, eid))
+            x = up
+        return steps
 
     def distance(self, p: TreePoint, q: TreePoint) -> LambdaElement:
-        p = self.validate_point(p)
-        q = self.validate_point(q)
-        if not p.is_vertex() and not q.is_vertex() and p.edge == q.edge:
-            return (p.offset - q.offset).abs()
-        return self._exit_pair(p, q)[0]
+        return self._meet(self.validate_point(p), self.validate_point(q))[0]
 
     def path_walk(self, p: TreePoint, q: TreePoint) -> "PathWalk":
         p = self.validate_point(p)
         q = self.validate_point(q)
+        zero = self.group.zero()
         if p == q:
-            return PathWalk(self, p, q, [], self.group.zero())
-        if not p.is_vertex() and not q.is_vertex() and p.edge == q.edge:
-            arcs = [(p.edge, p.offset, q.offset)]
-            return PathWalk(self, p, q, arcs, (p.offset - q.offset).abs())
-        total, ep, eq = self._exit_pair(p, q)
+            return PathWalk(self, p, q, [], zero)
+        length, cp, cq, w = self._meet(p, q)
+        if cp == cq and not p.is_vertex() and not q.is_vertex():
+            return PathWalk(self, p, q, [(p.edge, p.offset, q.offset)], length)
+        # an interior point leaves its edge downward when its anchor is w, else upward
+        ep = cp if p.is_vertex() or cp == w else self._parent[cp][0]
+        eq = cq if q.is_vertex() or cq == w else self._parent[cq][0]
         arcs: List[Tuple[str, LambdaElement, LambdaElement]] = []
         if not p.is_vertex():
             edge = self.edges[p.edge]
-            target = self.group.zero() if ep == edge.a else edge.length
-            arcs.append((p.edge, p.offset, target))
-        spine = self.vertex_path(ep, eq)
-        for u, v in zip(spine, spine[1:]):
-            eid = self.edge_between(u, v)
+            arcs.append((p.edge, p.offset, zero if ep == edge.a else edge.length))
+        for x, eid in self._climb(ep, w):
             edge = self.edges[eid]
-            if edge.a == u:
-                arcs.append((eid, self.group.zero(), edge.length))
-            else:
-                arcs.append((eid, edge.length, self.group.zero()))
+            arcs.append((eid, zero, edge.length) if edge.a == x else (eid, edge.length, zero))
+        for x, eid in reversed(self._climb(eq, w)):
+            edge = self.edges[eid]
+            arcs.append((eid, edge.length, zero) if edge.a == x else (eid, zero, edge.length))
         if not q.is_vertex():
             edge = self.edges[q.edge]
-            start = self.group.zero() if eq == edge.a else edge.length
-            arcs.append((q.edge, start, q.offset))
-        return PathWalk(self, p, q, arcs, total)
-
-    def edge_between(self, u: str, v: str) -> Optional[str]:
-        for eid, w in self.adjacency[u]:
-            if w == v:
-                return eid
-        return None
+            arcs.append((q.edge, zero if eq == edge.a else edge.length, q.offset))
+        return PathWalk(self, p, q, arcs, length)
 
     def segment(self, p: TreePoint, q: TreePoint) -> "Segment":
-        walk = self.path_walk(p, q)
-        return Segment(self, p, q, walk)
+        return Segment(self, p, q, self.path_walk(p, q))
 
     def median(self, p: TreePoint, q: TreePoint, r: TreePoint) -> TreePoint:
-        p = self.validate_point(p)
-        q = self.validate_point(q)
-        r = self.validate_point(r)
         spread = self.distance(p, q) + self.distance(p, r) - self.distance(q, r)
         alpha = half_in_group(spread)
         return self.path_walk(p, q).point_at(alpha)
@@ -318,41 +322,35 @@ class LambdaTree:
                 v = rep[v]
             return v
 
+        inside = {eid: subgroup.contains(e.length) for eid, e in self.edges.items()}
         for edge in self._edge_list():
-            if subgroup.contains(edge.length):
+            if inside[edge.id]:
                 ra, rb = find(edge.a), find(edge.b)
                 if ra != rb:
                     high, low = (ra, rb) if ra > rb else (rb, ra)
                     rep[high] = low
+        vertex_map = {v: find(v) for v in self.vertices}
         component: Dict[str, List[str]] = {}
         for v in self.vertices:
-            component.setdefault(find(v), []).append(v)
-        quotient_group = subgroup.quotient_group()
-        new_vertices = sorted(component)
+            component.setdefault(vertex_map[v], []).append(v)
         new_edges = []
         new_ids = []
-        vertex_map = {v: find(v) for v in self.vertices}
+        fiber_edges: Dict[str, list] = {root: [] for root in component}
+        fiber_ids: Dict[str, List[str]] = {root: [] for root in component}
         for edge in self._edge_list():
-            if not subgroup.contains(edge.length):
-                new_edges.append(
-                    (find(edge.a), find(edge.b), convex_quotient(edge.length, subgroup))
-                )
+            if inside[edge.id]:
+                root = vertex_map[edge.a]
+                fiber_edges[root].append((edge.a, edge.b, edge.length))
+                fiber_ids[root].append(edge.id)
+            else:
+                ends = (vertex_map[edge.a], vertex_map[edge.b])
+                new_edges.append(ends + (convex_quotient(edge.length, subgroup),))
                 new_ids.append(edge.id)
-        quotient = LambdaTree(quotient_group, new_vertices, new_edges, new_ids)
-        fibers = {}
-        for root, members in component.items():
-            member_set = set(members)
-            fiber_edges = [
-                (e.a, e.b, e.length)
-                for e in self._edge_list()
-                if subgroup.contains(e.length) and e.a in member_set
-            ]
-            fiber_ids = [
-                e.id
-                for e in self._edge_list()
-                if subgroup.contains(e.length) and e.a in member_set
-            ]
-            fibers[root] = LambdaTree(self.group, sorted(member_set), fiber_edges, fiber_ids)
+        quotient = LambdaTree(subgroup.quotient_group(), sorted(component), new_edges, new_ids)
+        fibers = {
+            root: LambdaTree(self.group, sorted(members), fiber_edges[root], fiber_ids[root])
+            for root, members in component.items()
+        }
         return QuotientResult(quotient, fibers, vertex_map)
 
     def _edge_list(self) -> List[Edge]:
@@ -453,7 +451,6 @@ class Segment:
         return self.walk.point_at(s)
 
     def contains(self, x: TreePoint) -> bool:
-        x = self.tree.validate_point(x)
         d = self.tree.distance
         return d(self.p, x) + d(x, self.q) == self.length
 
@@ -560,9 +557,7 @@ def random_point(tree: LambdaTree, rng: random.Random) -> TreePoint:
         edge = tree.edges[eid]
         if in_two_lambda(edge.length):
             return tree.edge_point(eid, half_in_group(edge.length))
-        unit = tree.group.element(
-            *([0] * (tree.group.rank - 1) + [1])
-        )
+        unit = tree.group.element(*([0] * (tree.group.rank - 1) + [1]))
         if tree.group.zero() < unit < edge.length:
             return tree.edge_point(eid, unit)
     return tree.vertex_point(rng.choice(choices))
@@ -598,9 +593,7 @@ def check_axioms(candidate, sample_size: int = 50, seed: int = 0) -> dict:
     rng = random.Random(seed)
     performed = 0
     for _ in range(sample_size):
-        p = random_point(tree, rng)
-        q = random_point(tree, rng)
-        r = random_point(tree, rng)
+        p, q, r = (random_point(tree, rng) for _ in range(3))
         # axiom (a): a segment exists and realizes the distance
         seg = tree.segment(p, q)
         if seg.length != tree.distance(p, q):

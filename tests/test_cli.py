@@ -489,3 +489,50 @@ def test_large_prime_field_answers_in_bounded_time(tmp_path, capsys):
         assert code == want, p
         if want == 2:
             assert json.loads(out)["error"] == "DomainError"
+
+
+def run_module(task_path):
+    """Run the CLI in a fresh interpreter; (exit code, stdout, wall seconds)."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambdatrees", "--task", str(task_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, time.perf_counter() - start
+
+
+def mu_task(tmp_path, entry):
+    return write_task(tmp_path, "mu.json", {
+        "command": "mu",
+        "payload": {"field": {"field": "Q(t)", "at": "inf"},
+                    "matrices": {"a": [entry, "0", "0", "1"]},
+                    "classes": ["a"]},
+    })
+
+
+def test_deeply_nested_entry_is_refused_without_a_traceback(tmp_path):
+    code, out, seconds = run_module(mu_task(tmp_path, "(" * 3000 + "t" + ")" * 3000))
+    assert code == 2 and seconds < 10.0
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError"
+    assert doc["message"] == "parentheses nest deeper than 100 at position 100"
+
+
+def test_huge_exponent_is_refused_in_bounded_time(tmp_path):
+    code, out, seconds = run_module(mu_task(tmp_path, "t^200000"))
+    assert code == 2 and seconds < 10.0
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError"
+    assert doc["message"] == "exponent 200000 at position 2 exceeds 100 in absolute value"
+
+
+def test_oversized_lattice_ball_is_refused_before_enumeration(tmp_path):
+    task = write_task(tmp_path, "ball.json", {
+        "command": "sl2-ball",
+        "payload": {"field": {"field": "Q", "p": 13}, "radius": 9},
+    })
+    code, out, seconds = run_module(task)
+    assert code == 2 and seconds < 10.0
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError"
+    assert doc["message"] == "a radius-9 ball in the tree of Q_13 has more than 100000 vertices"

@@ -33,7 +33,7 @@ from lambdatrees.ordered import (
 )
 from lambdatrees.valuation import ValuedField
 
-KERNEL = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+KERNEL = settings.get_profile("derandomized")
 
 Z1 = LambdaGroup(1)
 Z2 = LambdaGroup(2)

@@ -19,6 +19,7 @@ from lambdatrees.errors import (
     SingularLattice,
 )
 from lambdatrees.sl2 import (
+    MAX_BALL_VERTICES,
     LatticeVertex,
     Mat2,
     act,
@@ -137,6 +138,16 @@ def test_distance_examples():
     assert dist_int(v0, deep) == 4
     with pytest.raises(FieldMismatch):
         lattice_distance(v0, base_vertex(Q3))
+
+
+def test_ball_size_is_bounded_before_enumeration():
+    # 1 + 3 (2^15 - 1) = 98,302 vertices fit; radius 16 would have 196,606
+    assert 1 + 3 * (2**15 - 1) <= MAX_BALL_VERTICES < 1 + 3 * (2**16 - 1)
+    with pytest.raises(DomainError, match="^a radius-16 ball in the tree of Q_2 has more than"):
+        ball(base_vertex(Q2), 16)
+    with pytest.raises(DomainError, match="^a radius-1000000000 ball in the tree of Q_13 "):
+        ball(base_vertex(ValuedField.rationals(13)), 10**9)
+    assert len(ball(base_vertex(ValuedField.function_field_at(0)), 0).vertices) == 1
 
 
 def test_distance_matches_breadth_first_search():

@@ -116,8 +116,8 @@ def half_edge_pair(rng, group):
     half = random_length(rng, group)
     n = rng.randint(3, 8)
     tree = path_tree(group, n, 2 * half)
-    g = TreeIsometry(tree, {f"p{i}": tree.edge_point(tree.edge_between(f"p{i}", f"p{i + 1}"), half)
-                            for i in range(n)})
+    # path_tree's edge e{i} joins p{i} and p{i+1}
+    g = TreeIsometry(tree, {f"p{i}": tree.edge_point(f"e{i}", half) for i in range(n)})
     k = rng.choice([1, -1, 2])
     h = vertex_map(tree, {f"p{i}": f"p{i + k}" for i in range(n + 1) if 0 <= i + k <= n})
     return tree, g, h

@@ -8,6 +8,8 @@ from lambdatrees.errors import DomainError, NotInValuationRing
 from lambdatrees.ordered import LambdaGroup
 from lambdatrees.valuation import (
     INFINITY,
+    MAX_EXPONENT,
+    MAX_NESTING,
     Polynomial,
     RationalFunction,
     ValuedField,
@@ -171,6 +173,18 @@ def test_parser_rejects_garbage():
     for text in ("", "t +", "(t", "t^", "x+1", "1//2"):
         with pytest.raises(DomainError):
             rf(text)
+
+
+def test_parser_bounds_nesting_and_exponents():
+    assert rf("(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == rf("t")
+    assert rf("(t)^-2 + " * 3 + "(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == rf("3/t^2 + 1")
+    deeper = "(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1)
+    message = f"^parentheses nest deeper than {MAX_NESTING} at position {MAX_NESTING}$"
+    with pytest.raises(DomainError, match=message):
+        rf(deeper)
+    assert rf(f"t^{MAX_EXPONENT}") * rf(f"t^-{MAX_EXPONENT}") == rf("1")
+    with pytest.raises(DomainError, match=f"^exponent -{MAX_EXPONENT + 1} at position 6 exceeds"):
+        rf(f"1 + t^-{MAX_EXPONENT + 1}")
 
 
 def test_rational_field_element_parse():
