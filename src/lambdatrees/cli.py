@@ -81,10 +81,6 @@ def _field(obj) -> ValuedField:
     return ValuedField.from_json(obj)
 
 
-def _matrices(field: ValuedField, entries: dict) -> dict:
-    return {str(sym): Mat2.from_json(field, matrix) for sym, matrix in entries.items()}
-
-
 def _point_from_json(obj) -> ProjectivePoint:
     classes = [canonical_class(c) for c in _need(obj, "classes")]
     exact = bool(obj.get("exact", True))
@@ -212,7 +208,10 @@ def _length_action(spec) -> dict:
         }
     if kind == "matrix":
         field = _field(_need(spec, "field"))
-        return _matrices(field, _need(spec, "matrices"))
+        return {
+            str(sym): Mat2.from_json(field, entries)
+            for sym, entries in _need(spec, "matrices").items()
+        }
     raise PayloadError("action type must be cayley, tree, or matrix")
 
 
@@ -231,14 +230,20 @@ def _run_theta(payload, args):
 
 def _run_mu(payload, args):
     field = _field(_need(payload, "field"))
-    matrices = _matrices(field, _need(payload, "matrices"))
+    matrices = {
+        str(sym): Mat2.from_json(field, entries)
+        for sym, entries in _need(payload, "matrices").items()
+    }
     point, raw = mu(matrices, _need(payload, "classes"))
     return {"point": point.to_json(), "raw": raw.to_json()}, None
 
 
 def _run_converge_check(payload, args):
     field = _field(_need(payload, "field"))
-    family = _matrices(field, _need(payload, "family"))
+    family = {
+        str(sym): Mat2.from_json(field, entries)
+        for sym, entries in _need(payload, "family").items()
+    }
     limit = None
     if payload.get("limit") is not None:
         limit = _point_from_json(payload["limit"])

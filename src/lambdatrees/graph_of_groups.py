@@ -369,8 +369,24 @@ class AmalgamDescription:
     nontrivial: bool
 
     def to_json(self) -> dict:
-        factors = {"from": self.tail_factor.to_json(), "to": self.head_factor.to_json()}
-        return _decomposition_json(self, "amalgam", {"factors": factors})
+        return {
+            "kind": "amalgam",
+            "edge": self.edge_id,
+            "edge_group": self.edge_group.to_json(),
+            "factors": {
+                "from": self.tail_factor.to_json(),
+                "to": self.head_factor.to_json(),
+            },
+            "embeddings": {
+                "from": {g: format_word(w) for g, w in self.into_tail.items()},
+                "to": {g: format_word(w) for g, w in self.into_head.items()},
+            },
+            "surjective": {
+                "from": self.tail_embedding_surjective,
+                "to": self.head_embedding_surjective,
+            },
+            "nontrivial": self.nontrivial,
+        }
 
 
 @dataclass(frozen=True)
@@ -388,24 +404,21 @@ class HNNDescription:
     nontrivial: bool
 
     def to_json(self) -> dict:
-        return _decomposition_json(self, "hnn", {"base": self.base.to_json()})
-
-
-def _decomposition_json(desc, kind: str, pieces: dict) -> dict:
-    """The document of either decomposition: the edge, its pieces, both embeddings."""
-    return {
-        "kind": kind,
-        "edge": desc.edge_id,
-        "edge_group": desc.edge_group.to_json(),
-        **pieces,
-        "embeddings": {
-            "from": {g: format_word(w) for g, w in desc.into_tail.items()},
-            "to": {g: format_word(w) for g, w in desc.into_head.items()},
-        },
-        "surjective": {"from": desc.tail_embedding_surjective,
-                       "to": desc.head_embedding_surjective},
-        "nontrivial": desc.nontrivial,
-    }
+        return {
+            "kind": "hnn",
+            "edge": self.edge_id,
+            "edge_group": self.edge_group.to_json(),
+            "base": self.base.to_json(),
+            "embeddings": {
+                "from": {g: format_word(w) for g, w in self.into_tail.items()},
+                "to": {g: format_word(w) for g, w in self.into_head.items()},
+            },
+            "surjective": {
+                "from": self.tail_embedding_surjective,
+                "to": self.head_embedding_surjective,
+            },
+            "nontrivial": self.nontrivial,
+        }
 
 
 def decompose_along_edge(

@@ -274,7 +274,10 @@ class TreeIsometry:
         return self._hull_cache
 
     def domain_contains(self, p: TreePoint) -> bool:
-        p = self.tree.validate_point(p)
+        return self._spans(self.tree.validate_point(p))
+
+    def _spans(self, p: TreePoint) -> bool:
+        """Whether the already-checked point p lies in the mapped subtree."""
         members, _ = self._hull()
         if p.is_vertex():
             return p.vertex in members
@@ -313,10 +316,9 @@ class TreeIsometry:
         p = self.tree.validate_point(p)
         if p.is_vertex():
             return self._vertex_image(p.vertex)
-        edge = self.tree.edges[p.edge]
-        members, _ = self._hull()
-        if edge.a not in members or edge.b not in members:
+        if not self._spans(p):
             raise OrbitEscapesTree(f"point {p} is outside the mapped subtree")
+        edge = self.tree.edges[p.edge]
         ia = self._vertex_image(edge.a)
         ib = self._vertex_image(edge.b)
         walk = self.tree.path_walk(ia, ib)

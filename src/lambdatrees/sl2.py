@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     DeterminantNotOne,
@@ -25,7 +25,7 @@ from .ordered import LambdaElement
 from .valuation import INFINITY, ValuedField, is_infinite
 
 MAX_RESIDUE_PRIME = 13
-MAX_BALL_VERTICES = 100_000  # 1 + (p+1)(p^r - 1)/(p - 1), checked before ball builds
+MAX_BALL_VERTICES = 100_000  # 1 + (p+1)(p^r - 1)/(p - 1), checked before ball enumerates
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,19 @@ def act(g: Mat2, x: LatticeVertex) -> LatticeVertex:
     return canonical_vertex(g * x.matrix())
 
 
+def _residue_prime(field: ValuedField) -> int:
+    """p, or the error for a residue field neighbors cannot enumerate."""
+    if field.kind != "p_adic":
+        raise InfiniteResidueField("neighbor enumeration needs a finite residue field")
+    if field.p > MAX_RESIDUE_PRIME:
+        raise DomainError(f"residue field too large (p > {MAX_RESIDUE_PRIME})")
+    return field.p
+
+
 def neighbors(x: LatticeVertex) -> List[LatticeVertex]:
     """The adjacent classes: one per point of the residue projective line."""
     field = x.field
-    if field.kind != "p_adic":
-        raise InfiniteResidueField("neighbor enumeration needs a finite residue field")
-    p = field.p
-    if p > MAX_RESIDUE_PRIME:
-        raise DomainError(f"residue field too large (p > {MAX_RESIDUE_PRIME})")
+    p = _residue_prime(field)
     base = x.matrix()
     out = []
     for lift in range(p):
@@ -214,32 +219,41 @@ class LatticeBall:
     distance: Dict[LatticeVertex, int]
 
 
-def ball(center: LatticeVertex, radius: int) -> LatticeBall:
+def _ball_order(center: LatticeVertex, radius: int) -> Iterator[tuple]:
+    """(vertex, parent, distance) over the ball in discovery order, the
+    center first with parent None.  The radius and the residue field are
+    checked before the center is yielded."""
     if radius < 0:
         raise DomainError("radius must be nonnegative")
-    field = center.field
-    if field.kind == "p_adic" and field.p <= MAX_RESIDUE_PRIME:  # neighbors refuses larger p
-        size, sphere = 1, field.p + 1
-        for _ in range(radius):
-            size, sphere = size + sphere, sphere * field.p
-            if size > MAX_BALL_VERTICES:
-                raise DomainError(f"a radius-{radius} ball in the tree of Q_{field.p} has "
-                                  f"more than {MAX_BALL_VERTICES} vertices")
-    order = [center]
+    if radius > 0:
+        _residue_prime(center.field)
     dist = {center: 0}
-    edges = []
     queue = deque([center])
+    yield center, None, 0
     while queue:
         u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for w in neighbors(u):
-            if w in dist:
-                continue
-            dist[w] = dist[u] + 1
-            order.append(w)
-            edges.append((u, w))
-            queue.append(w)
+        if dist[u] < radius:
+            for w in neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+                    yield w, u, dist[w]
+
+
+def ball(center: LatticeVertex, radius: int) -> LatticeBall:
+    p = _residue_prime(center.field) if radius > 0 else None
+    size = 1
+    for k in range(radius):
+        size += (p + 1) * p**k
+        if size > MAX_BALL_VERTICES:
+            raise DomainError(f"a radius-{radius} ball in the tree of Q_{p} has "
+                              f"more than {MAX_BALL_VERTICES} vertices")
+    order, edges, dist = [], [], {}
+    for x, parent, d in _ball_order(center, radius):
+        order.append(x)
+        dist[x] = d
+        if parent is not None:
+            edges.append((parent, x))
     return LatticeBall(center, radius, order, edges, dist)
 
 
@@ -264,17 +278,21 @@ def sl2_translation_length(g: Mat2) -> LambdaElement:
 
 
 def find_fixed_vertex(g: Mat2, radius: Optional[int] = None) -> Optional[LatticeVertex]:
-    """Search the ball around the base vertex for a vertex fixed by g.
+    """The first vertex fixed by g in breadth-first order around the base vertex.
 
     The default radius is |2 v(trace)| + 2.  A fixed vertex of an
     elliptic element is the midpoint of the segment from any vertex to
-    its image, so enlarging the radius only helps off-center inputs.
+    its image, so enlarging the radius only helps off-center inputs.  A
+    hyperbolic g (v(trace) < 0, so sl2_translation_length is positive)
+    fixes no vertex, and the search is skipped.
     """
     _require_sl2(g)
+    v = g.field.valuation_int(g.trace())
     if radius is None:
-        v = g.field.valuation_int(g.trace())
         radius = 2 if is_infinite(v) else abs(2 * v) + 2
-    for x in ball(base_vertex(g.field), radius).vertices:
+    for x, _, _ in _ball_order(base_vertex(g.field), radius):
+        if not is_infinite(v) and v < 0:
+            return None  # hyperbolic; the search has checked its radius and field
         if act(g, x) == x:
             return x
     return None

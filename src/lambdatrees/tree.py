@@ -286,7 +286,8 @@ class LambdaTree:
         return PathWalk(self, p, q, arcs, length)
 
     def segment(self, p: TreePoint, q: TreePoint) -> "Segment":
-        return Segment(self, p, q, self.path_walk(p, q))
+        walk = self.path_walk(p, q)
+        return Segment(self, p, q, walk)
 
     def median(self, p: TreePoint, q: TreePoint, r: TreePoint) -> TreePoint:
         spread = self.distance(p, q) + self.distance(p, r) - self.distance(q, r)
@@ -557,7 +558,9 @@ def random_point(tree: LambdaTree, rng: random.Random) -> TreePoint:
         edge = tree.edges[eid]
         if in_two_lambda(edge.length):
             return tree.edge_point(eid, half_in_group(edge.length))
-        unit = tree.group.element(*([0] * (tree.group.rank - 1) + [1]))
+        unit = tree.group.element(
+            *([0] * (tree.group.rank - 1) + [1])
+        )
         if tree.group.zero() < unit < edge.length:
             return tree.edge_point(eid, unit)
     return tree.vertex_point(rng.choice(choices))
@@ -593,7 +596,9 @@ def check_axioms(candidate, sample_size: int = 50, seed: int = 0) -> dict:
     rng = random.Random(seed)
     performed = 0
     for _ in range(sample_size):
-        p, q, r = (random_point(tree, rng) for _ in range(3))
+        p = random_point(tree, rng)
+        q = random_point(tree, rng)
+        r = random_point(tree, rng)
         # axiom (a): a segment exists and realizes the distance
         seg = tree.segment(p, q)
         if seg.length != tree.distance(p, q):

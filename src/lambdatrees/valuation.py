@@ -343,9 +343,12 @@ def _as_rf(value) -> Optional[RationalFunction]:
     return None
 
 
-# Each open parenthesis costs four Python frames; (1+t)^200 takes 0.2 s on a 2-vCPU VM.
+# Parsing refuses parentheses nested deeper than MAX_NESTING (each costs four
+# Python frames), and a product, quotient or power whose numerator or
+# denominator has degree above MAX_DEGREE.  A power is refused before it is
+# computed, so ((1+t)^100)^100 costs nothing; a constant counts as degree 1.
 MAX_NESTING = 100
-MAX_EXPONENT = 100
+MAX_DEGREE = 100
 
 
 class _ExpressionParser:
@@ -355,8 +358,6 @@ class _ExpressionParser:
               term := factor (('*'|'/') factor)*
               factor := atom ['^' ['-'] integer]
               atom := '(' expr ')' | 't' | integer
-
-    Deeper nesting than MAX_NESTING or |exponent| > MAX_EXPONENT raises DomainError.
     """
 
     def __init__(self, text: str):
@@ -401,10 +402,14 @@ class _ExpressionParser:
     def term(self) -> RationalFunction:
         value = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.text[self.pos]
+            op, start = self.text[self.pos], self.pos
             self.pos += 1
             rhs = self.factor()
             value = value * rhs if op == "*" else value / rhs
+            degree = max(value.num.degree, value.den.degree)
+            if degree > MAX_DEGREE:
+                raise DomainError(f"degree {degree} at position {start} exceeds "
+                                  f"the degree bound {MAX_DEGREE}")
         return value
 
     def factor(self) -> RationalFunction:
@@ -417,9 +422,9 @@ class _ExpressionParser:
                 self.pos += 1
                 sign = -1
             k = self.integer()
-            if k > MAX_EXPONENT:
+            if k * max(value.num.degree, value.den.degree, 1) > MAX_DEGREE:
                 raise DomainError(f"exponent {sign * k} at position {start} exceeds "
-                                  f"{MAX_EXPONENT} in absolute value")
+                                  f"the degree bound {MAX_DEGREE}")
             value = value ** (sign * k)
         return value
 

@@ -523,7 +523,7 @@ def test_huge_exponent_is_refused_in_bounded_time(tmp_path):
     assert code == 2 and seconds < 10.0
     doc = json.loads(out)
     assert doc["error"] == "DomainError"
-    assert doc["message"] == "exponent 200000 at position 2 exceeds 100 in absolute value"
+    assert doc["message"] == "exponent 200000 at position 2 exceeds the degree bound 100"
 
 
 def test_oversized_lattice_ball_is_refused_before_enumeration(tmp_path):

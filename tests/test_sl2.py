@@ -6,6 +6,7 @@ are checked against the regular-tree count 1 + (p+1)(p^r - 1)/(p - 1).
 """
 
 import random
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -263,6 +264,20 @@ def test_fixed_vertex_found_exactly_for_elliptic_elements():
     assert off_center == LatticeVertex(Q2, -2, Fraction(0))
     assert find_fixed_vertex(mat(Q2, 2, 0, 0, Fraction(1, 2))) is None
     assert find_fixed_vertex(mat(Q2, 4, 0, 0, Fraction(1, 4)), radius=3) is None
+
+
+def test_fixed_vertex_search_needs_no_whole_ball():
+    # v(trace) = 7 sets radius 16, a ball past MAX_BALL_VERTICES; the base
+    # vertex is fixed and is the first one the search tries.
+    start = time.perf_counter()
+    assert find_fixed_vertex(mat(Q2, 128, 1, -1, 0)) == base_vertex(Q2)
+    # hyperbolic: no vertex is fixed, so nothing is enumerated
+    assert find_fixed_vertex(mat(Q2, Fraction(1, 128), 0, 0, 128)) is None
+    assert time.perf_counter() - start < 5.0
+    with pytest.raises(DomainError, match="^radius must be nonnegative$"):
+        find_fixed_vertex(mat(Q2, Fraction(1, 128), 0, 0, 128), radius=-1)
+    with pytest.raises(InfiniteResidueField):
+        find_fixed_vertex(Mat2.identity(ValuedField.function_field_at(0)))
 
 
 def test_zero_translation_length_iff_fixed_vertex():

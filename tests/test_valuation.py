@@ -8,7 +8,7 @@ from lambdatrees.errors import DomainError, NotInValuationRing
 from lambdatrees.ordered import LambdaGroup
 from lambdatrees.valuation import (
     INFINITY,
-    MAX_EXPONENT,
+    MAX_DEGREE,
     MAX_NESTING,
     Polynomial,
     RationalFunction,
@@ -175,16 +175,28 @@ def test_parser_rejects_garbage():
             rf(text)
 
 
-def test_parser_bounds_nesting_and_exponents():
+def test_parser_bounds_nesting_and_degree():
     assert rf("(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == rf("t")
     assert rf("(t)^-2 + " * 3 + "(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == rf("3/t^2 + 1")
     deeper = "(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1)
     message = f"^parentheses nest deeper than {MAX_NESTING} at position {MAX_NESTING}$"
     with pytest.raises(DomainError, match=message):
         rf(deeper)
-    assert rf(f"t^{MAX_EXPONENT}") * rf(f"t^-{MAX_EXPONENT}") == rf("1")
-    with pytest.raises(DomainError, match=f"^exponent -{MAX_EXPONENT + 1} at position 6 exceeds"):
-        rf(f"1 + t^-{MAX_EXPONENT + 1}")
+    assert rf(f"t^{MAX_DEGREE}") * rf(f"t^-{MAX_DEGREE}") == rf("1")
+    assert rf(f"(t^2)^{MAX_DEGREE // 2} / t^{MAX_DEGREE}") == rf("1")
+    with pytest.raises(DomainError, match=f"^exponent -{MAX_DEGREE + 1} at position 6 exceeds "
+                                          f"the degree bound {MAX_DEGREE}$"):
+        rf(f"1 + t^-{MAX_DEGREE + 1}")
+    with pytest.raises(DomainError, match="^exponent 101 at position 2 exceeds"):
+        rf("2^101")  # a constant counts as degree 1, so its size is bounded too
+    # a power of a power is refused before the outer power is computed
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^exponent 100 at position 12 exceeds"):
+        rf("((1+t)^100)^100")
+    assert time.perf_counter() - start < 2.0
+    # so is a product whose degree passes the bound
+    with pytest.raises(DomainError, match=f"^degree 110 at position 5 exceeds the degree bound"):
+        rf("t^50 * t^60")
 
 
 def test_rational_field_element_parse():
