@@ -90,6 +90,12 @@ def enumerate_classes(generators: Sequence[str], max_length: int) -> List[ConjCl
         raise SymbolError("generators must be distinct and nonempty")
     if max_length < 1:
         raise DomainError("max_length must be at least 1")
+    size = _reduced_word_count(len(syms), max_length)
+    if size > MAX_CAYLEY_VERTICES:
+        raise DomainError(
+            f"classes up to length {max_length} over generators {', '.join(syms)} span"
+            f" {size} reduced words, more than {MAX_CAYLEY_VERTICES}"
+        )
     letters = [(s, e) for s in syms for e in (1, -1)]
     seen = set()
 
@@ -418,8 +424,17 @@ def converge_csv(report: dict) -> str:
 
 
 # Most vertices free_group_action builds (39,365 took 1.5 s and 64 MB on a
-# 2-vCPU VM); a larger ball is refused before anything is built.
+# 2-vCPU VM), and most words enumerate_classes grows; a larger count is
+# refused before anything is built.
 MAX_CAYLEY_VERTICES = 100_000
+
+
+def _reduced_word_count(k: int, length: int) -> int:
+    """Reduced words of length at most ``length`` over k generators: the
+    vertex count of the radius-``length`` ball in the Cayley tree."""
+    if k == 1:
+        return 1 + 2 * length
+    return 1 + 2 * k * ((2 * k - 1) ** length - 1) // (2 * k - 2)
 
 
 def free_group_action(generators: Sequence[str], radius: int) -> Tuple[LambdaTree, Dict[str, TreeIsometry]]:
@@ -437,7 +452,7 @@ def free_group_action(generators: Sequence[str], radius: int) -> Tuple[LambdaTre
     if radius < 1:
         raise DomainError("radius must be at least 1")
     k = len(syms)
-    size = 1 + 2 * radius if k == 1 else 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
+    size = _reduced_word_count(k, radius)
     if size > MAX_CAYLEY_VERTICES:
         raise DomainError(
             f"a radius-{radius} ball over {k} generators has {size} vertices,"

@@ -3,16 +3,18 @@
 Vertices are homothety classes of rank-2 modules over the valuation
 ring, held in a canonical triangular form [[pi^n, u], [0, 1]] with u a
 canonical representative modulo pi^n.  The class determines (n, u)
-uniquely, so equality and hashing are structural.  The tree itself is
-never stored; neighbors are produced on demand and ball searches stay
-small because the degree is residue-field size plus one.
+uniquely, so equality and hashing are structural.  The class L(n; u) is
+the closed ball {x : v(x - u) >= n} (Serre, Trees, ch. II.1), so the
+tree is the tree of balls: distances, neighbors and geodesics are read
+off levels and the valuation v(w - u), and the tree itself is never
+stored.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     DeterminantNotOne,
@@ -22,7 +24,7 @@ from .errors import (
     SingularLattice,
 )
 from .ordered import LambdaElement
-from .valuation import INFINITY, ValuedField, is_infinite
+from .valuation import ValuedField, is_infinite
 
 MAX_RESIDUE_PRIME = 13
 MAX_BALL_VERTICES = 100_000  # 1 + (p+1)(p^r - 1)/(p - 1), checked before ball enumerates
@@ -107,7 +109,8 @@ class LatticeVertex:
     """Homothety class of a lattice, as the canonical pair (level, shift).
 
     The canonical basis matrix is [[pi^level, shift], [0, 1]] with shift
-    already reduced modulo pi^level times the valuation ring.
+    already reduced modulo pi^level times the valuation ring.  The class
+    is the ball of center shift and radius |pi|^level.
     """
 
     field: ValuedField
@@ -161,20 +164,17 @@ def canonical_vertex(basis: Mat2) -> LatticeVertex:
     return LatticeVertex(field, n, u)
 
 
+def _join_level(x: LatticeVertex, y: LatticeVertex) -> int:
+    """Level of the smallest ball holding both: min(n, m, v(w - u))."""
+    return min(x.level, y.level, x.field.valuation_int(y.shift - x.shift))
+
+
 def lattice_distance(x: LatticeVertex, y: LatticeVertex) -> LambdaElement:
-    """Tree distance: gap between the two elementary divisors of the
-    change-of-basis matrix."""
+    """Tree distance n + m - 2k between L(n; u) and L(m; w), with k the
+    level of the smallest ball holding both."""
     if x.field != y.field:
         raise FieldMismatch("vertices over different fields")
-    field = x.field
-    g = x.matrix().inverse() * y.matrix()
-    vdet = field.valuation_int(g.det())
-    vmin = INFINITY
-    for entry in g.entries():
-        v = field.valuation_int(entry)
-        if not is_infinite(v) and (is_infinite(vmin) or v < vmin):
-            vmin = v
-    return field.value_group.element(vdet - 2 * vmin)
+    return x.field.value_group.element(x.level + y.level - 2 * _join_level(x, y))
 
 
 def act(g: Mat2, x: LatticeVertex) -> LatticeVertex:
@@ -194,16 +194,25 @@ def _residue_prime(field: ValuedField) -> int:
     return field.p
 
 
+def _ball_prime(field: ValuedField, radius: int) -> Optional[int]:
+    """p for a positive radius and None for radius 0, or the error for a
+    ball of this radius that cannot be enumerated."""
+    if radius < 0:
+        raise DomainError("radius must be nonnegative")
+    return _residue_prime(field) if radius > 0 else None
+
+
 def neighbors(x: LatticeVertex) -> List[LatticeVertex]:
-    """The adjacent classes: one per point of the residue projective line."""
+    """The adjacent classes, one per point of the residue projective line:
+    the p balls L(n+1; u + j pi^n) inside L(n; u), then the ball L(n-1; u)
+    around it."""
     field = x.field
     p = _residue_prime(field)
-    base = x.matrix()
-    out = []
-    for lift in range(p):
-        sub = Mat2.of(field, p, lift, 0, 1)
-        out.append(canonical_vertex(base * sub))
-    out.append(canonical_vertex(base * Mat2.of(field, 1, 0, 0, p)))
+    n, u = x.level, x.shift
+    step = field.uniformizer() ** n
+    out = [LatticeVertex(field, n + 1, field.canonical_mod(u + j * step, n + 1))
+           for j in range(p)]
+    out.append(LatticeVertex(field, n - 1, field.canonical_mod(u, n - 1)))
     return out
 
 
@@ -219,17 +228,16 @@ class LatticeBall:
     distance: Dict[LatticeVertex, int]
 
 
-def _ball_order(center: LatticeVertex, radius: int) -> Iterator[tuple]:
-    """(vertex, parent, distance) over the ball in discovery order, the
-    center first with parent None.  The radius and the residue field are
-    checked before the center is yielded."""
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    if radius > 0:
-        _residue_prime(center.field)
-    dist = {center: 0}
+def ball(center: LatticeVertex, radius: int) -> LatticeBall:
+    p = _ball_prime(center.field, radius)
+    size = 1
+    for k in range(radius):
+        size += (p + 1) * p**k
+        if size > MAX_BALL_VERTICES:
+            raise DomainError(f"a radius-{radius} ball in the tree of Q_{p} has "
+                              f"more than {MAX_BALL_VERTICES} vertices")
+    order, edges, dist = [center], [], {center: 0}
     queue = deque([center])
-    yield center, None, 0
     while queue:
         u = queue.popleft()
         if dist[u] < radius:
@@ -237,23 +245,8 @@ def _ball_order(center: LatticeVertex, radius: int) -> Iterator[tuple]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-                    yield w, u, dist[w]
-
-
-def ball(center: LatticeVertex, radius: int) -> LatticeBall:
-    p = _residue_prime(center.field) if radius > 0 else None
-    size = 1
-    for k in range(radius):
-        size += (p + 1) * p**k
-        if size > MAX_BALL_VERTICES:
-            raise DomainError(f"a radius-{radius} ball in the tree of Q_{p} has "
-                              f"more than {MAX_BALL_VERTICES} vertices")
-    order, edges, dist = [], [], {}
-    for x, parent, d in _ball_order(center, radius):
-        order.append(x)
-        dist[x] = d
-        if parent is not None:
-            edges.append((parent, x))
+                    order.append(w)
+                    edges.append((u, w))
     return LatticeBall(center, radius, order, edges, dist)
 
 
@@ -278,24 +271,39 @@ def sl2_translation_length(g: Mat2) -> LambdaElement:
 
 
 def find_fixed_vertex(g: Mat2, radius: Optional[int] = None) -> Optional[LatticeVertex]:
-    """The first vertex fixed by g in breadth-first order around the base vertex.
+    """The vertex fixed by g nearest the base vertex x0, if it lies within radius.
 
-    The default radius is |2 v(trace)| + 2.  A fixed vertex of an
-    elliptic element is the midpoint of the segment from any vertex to
-    its image, so enlarging the radius only helps off-center inputs.  A
-    hyperbolic g (v(trace) < 0, so sl2_translation_length is positive)
-    fixes no vertex, and the search is skipped.
+    The default radius is |2 v(trace)| + 2.  A hyperbolic g (v(trace) < 0,
+    so sl2_translation_length is positive) fixes no vertex.  SL2 acts
+    without inversions, so for an elliptic g the vertex of Fix(g) nearest
+    x0 is the midpoint of [x0, g x0]; it is returned once g is seen to fix
+    it.  A radius raises as a ball of that radius would, although the
+    midpoint needs no enumeration.
     """
     _require_sl2(g)
-    v = g.field.valuation_int(g.trace())
+    field = g.field
+    v = field.valuation_int(g.trace())
     if radius is None:
         radius = 2 if is_infinite(v) else abs(2 * v) + 2
-    for x, _, _ in _ball_order(base_vertex(g.field), radius):
-        if not is_infinite(v) and v < 0:
-            return None  # hyperbolic; the search has checked its radius and field
-        if act(g, x) == x:
-            return x
-    return None
+    _ball_prime(field, radius)
+    if v < 0:
+        return None
+    x0 = base_vertex(field)
+    gx = act(g, x0)
+    if gx == x0:
+        return x0
+    # the geodesic from x0 = L(0; 0) climbs to the join level k, then
+    # descends through the balls holding g x0
+    k = _join_level(x0, gx)
+    half = (gx.level - 2 * k) // 2
+    if half > radius:
+        return None
+    if half <= -k:
+        mid = LatticeVertex(field, -half, field.zero())
+    else:
+        level = 2 * k + half
+        mid = LatticeVertex(field, level, field.canonical_mod(gx.shift, level))
+    return mid if act(g, mid) == mid else None
 
 
 def stabilizer_membership(g: Mat2, which: str) -> bool:
@@ -330,10 +338,5 @@ def entry_valuation_displacement(g: Mat2) -> LambdaElement:
     so it is exposed for comparison and never used internally.
     """
     _require_sl2(g)
-    field = g.field
-    vmin = None
-    for entry in g.entries():
-        v = field.valuation_int(entry)
-        if not is_infinite(v) and (vmin is None or v < vmin):
-            vmin = v
-    return field.value_group.element(abs(vmin))
+    vmin = min(g.field.valuation_int(entry) for entry in g.entries())  # finite: det is 1
+    return g.field.value_group.element(abs(vmin))

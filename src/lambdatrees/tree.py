@@ -610,9 +610,8 @@ def check_axioms(candidate, sample_size: int = 50, seed: int = 0) -> dict:
             }
         # axiom (b): segments from a common endpoint meet in a segment
         m = tree.median(p, q, r)
-        sq = tree.segment(p, q)
         sr = tree.segment(p, r)
-        if not (sq.contains(m) and sr.contains(m)):
+        if not (seg.contains(m) and sr.contains(m)):
             return {
                 "valid": False,
                 "axiom": "b",

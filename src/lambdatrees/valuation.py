@@ -172,13 +172,18 @@ class Polynomial:
             r = r - term * other
         return q, r
 
+    def monic(self) -> "Polynomial":
+        lead = self.leading()
+        return self if lead == 1 else self * (1 / lead)
+
     def gcd(self, other: "Polynomial") -> "Polynomial":
+        """The monic gcd.  Each remainder is made monic, which keeps the
+        coefficients of Euclid's remainder sequence small."""
         a, b = self, other
         while not b.is_zero():
+            b = b.monic()
             a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.leading())
+        return a if a.is_zero() else a.monic()
 
     def evaluate(self, point: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -606,19 +611,9 @@ class ValuedField:
         return ResidueField("rationals")
 
     def valuation(self, x) -> Union[LambdaElement, _Infinity]:
-        x = self.coerce(x)
-        if self.base == "Q":
-            if x == 0:
-                return INFINITY
-            v = _int_valuation(x.numerator, self.p) - _int_valuation(x.denominator, self.p)
-        elif x.is_zero():
-            return INFINITY
-        elif self.kind == "at_point":
-            v = self._order_at_point(x.num) - self._order_at_point(x.den)
-        else:
-            v = x.den.degree - x.num.degree
+        v = self.valuation_int(x)
         # v is an int computed here, so the element skips validation
-        return LambdaElement((v,), _VALUE_GROUP, 0)
+        return v if is_infinite(v) else LambdaElement((v,), _VALUE_GROUP, 0)
 
     def _order_at_point(self, poly: Polynomial) -> int:
         c = self.point
@@ -634,64 +629,50 @@ class ValuedField:
             order += 1
 
     def valuation_int(self, x) -> Union[int, _Infinity]:
-        v = self.valuation(x)
-        if is_infinite(v):
+        """v(x) as an int, or INFINITY at zero."""
+        x = self.coerce(x)
+        if self.base == "Q":
+            if x == 0:
+                return INFINITY
+            return _int_valuation(x.numerator, self.p) - _int_valuation(x.denominator, self.p)
+        if x.is_zero():
             return INFINITY
-        return int(v.coords[0])
+        if self.kind == "at_point":
+            return self._order_at_point(x.num) - self._order_at_point(x.den)
+        return x.den.degree - x.num.degree
 
     def residue(self, x):
         """Image in the residue field: an integer mod p, or a Fraction."""
         x = self.coerce(x)
-        v = self.valuation(x)
-        if is_infinite(v):
-            return 0 if self.kind == "p_adic" else Fraction(0)
-        if v < self.value_group.zero():
+        v = self.valuation_int(x)
+        if v < 0:
             raise NotInValuationRing(f"valuation of {x} is negative")
+        if v > 0:  # INFINITY included
+            return 0 if self.kind == "p_adic" else Fraction(0)
         if self.kind == "p_adic":
-            if v > self.value_group.zero():
-                return 0
             num = x.numerator % self.p
             den = x.denominator % self.p
             return (num * pow(den, -1, self.p)) % self.p
-        if v > self.value_group.zero():
-            return Fraction(0)
         if self.kind == "at_point":
             return x.num.evaluate(self.point) / x.den.evaluate(self.point)
         return x.num.leading() / x.den.leading()
-
-    def residue_lift(self, x) -> FieldElement:
-        """Residue of x re-embedded as a canonical field element."""
-        r = self.residue(x)
-        if self.base == "Q":
-            return Fraction(r)
-        return RationalFunction.constant(r)
 
     def canonical_mod(self, x, n: int) -> FieldElement:
         """Canonical representative of x modulo pi^n * O(v).
 
         Computed as the truncated digit expansion sum a_i pi^i over
-        v(x) <= i < n with each digit the canonical residue lift; two
-        elements are congruent mod pi^n O(v) iff their representatives
-        are equal.
+        v(x) <= i < n with each digit the canonical residue lift, that is
+        x minus the rest of valuation at least n; two elements are
+        congruent mod pi^n O(v) iff their representatives are equal.
         """
         x = self.coerce(x)
-        v = self.valuation_int(x)
-        if is_infinite(v) or v >= n:
-            return self.zero()
         pi = self.uniformizer()
-        rep = self.zero()
         rest = x
-        for i in range(v, n):
-            vi = self.valuation_int(rest)
-            if is_infinite(vi) or vi >= n:
-                break
-            if vi > i:
-                continue
-            digit = self.residue_lift(rest * pi ** (-i))
-            term = digit * pi**i
-            rep = rep + term
-            rest = rest - term
-        return rep
+        i = self.valuation_int(rest)
+        while i < n:  # False at INFINITY
+            rest = rest - self.coerce(self.residue(rest * pi ** (-i))) * pi**i
+            i = self.valuation_int(rest)
+        return x - rest
 
     def element_from_string(self, text: str) -> FieldElement:
         if self.base == "Q":

@@ -526,6 +526,16 @@ def test_huge_exponent_is_refused_in_bounded_time(tmp_path):
     assert doc["message"] == "exponent 200000 at position 2 exceeds the degree bound 100"
 
 
+def test_rational_function_powers_parse_in_bounded_time(tmp_path):
+    # without monic remainders, Euclid's gcd on Fraction coefficients took
+    # 10-40 s on a 2-vCPU VM; the entry is a unit at infinity, so mu refuses it
+    code, out, seconds = run_module(mu_task(tmp_path, "((1+t)/(2+t))^30 * ((3+t)/(5+t))^30"))
+    assert code == 2 and seconds < 5.0
+    doc = json.loads(out)
+    assert doc["error"] == "NotSupportedAtInfinity"
+    assert doc["message"] == "every trace has nonnegative valuation"
+
+
 def test_oversized_lattice_ball_is_refused_before_enumeration(tmp_path):
     task = write_task(tmp_path, "ball.json", {
         "command": "sl2-ball",

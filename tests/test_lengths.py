@@ -262,6 +262,19 @@ def test_free_group_action_refuses_an_oversized_ball_before_building(monkeypatch
     assert time.perf_counter() - start < 1.0
 
 
+def test_enumerate_classes_refuses_an_oversized_count_before_recursing():
+    # length 9 over two generators is 39,365 reduced words; length 10 is 118,097
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^classes up to length 40 over generators a, b span "
+                                          "24315330918113857601 reduced words, more than 100000$"):
+        enumerate_classes(["a", "b"], 40)
+    with pytest.raises(DomainError, match="^classes up to length 10 over generators a, b span 118097 "):
+        enumerate_classes(["a", "b"], 10)
+    with pytest.raises(DomainError, match="^classes up to length 100000 over generators a span "):
+        enumerate_classes(["a"], MAX_CAYLEY_VERTICES)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_length_function_errors_name_the_class():
     tree, action = free_group_action(["a", "b"], 2)
     with pytest.raises(OrbitEscapesTree, match='^class "a b a b": composite has empty domain$'):
