@@ -54,6 +54,9 @@ from .tree import LambdaTree, check_axioms
 from .valuation import ValuedField
 
 
+MAX_SAMPLES = 10_000  # check-axioms samples; each costs a few segments and medians
+
+
 class PayloadError(Exception):
     """The payload does not match the command's schema."""
 
@@ -105,8 +108,10 @@ def _run_classify_isometry(payload, args):
 def _run_check_axioms(payload, args):
     candidate = _need(payload, "tree")
     samples = payload.get("samples", 50)
-    if not isinstance(samples, int) or samples < 0:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise PayloadError("samples must be a nonnegative integer")
+    if samples > MAX_SAMPLES:
+        raise PayloadError(f"samples {samples} exceeds the bound {MAX_SAMPLES}")
     seed = args.seed if args.seed is not None else 0
     return check_axioms(candidate, sample_size=samples, seed=seed), None
 

@@ -11,10 +11,10 @@ special case, including the index formula for subgroup ranks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._walk import _breadth_first
 from .errors import (
     DomainError,
     InvalidEdge,
@@ -198,21 +198,11 @@ def _adjacency(gog: GraphOfGroups) -> Dict[str, List[Tuple[str, str]]]:
 def spanning_tree_edges(gog: GraphOfGroups) -> List[str]:
     """Deterministic spanning tree: breadth first from the least vertex."""
     root = min(gog.vertex_groups)
-    adj = _adjacency(gog)
-    seen = {root}
-    tree = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for eid, w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                tree.append(eid)
-                queue.append(w)
-    if len(seen) != len(gog.vertex_groups):
-        missing = sorted(set(gog.vertex_groups) - seen)
+    reached = _breadth_first(root, _adjacency(gog).__getitem__)
+    if len(reached) != len(gog.vertex_groups):
+        missing = sorted(set(gog.vertex_groups) - reached.keys())
         raise NotConnected(f"vertices unreachable from {root!r}: {missing}")
-    return tree
+    return [eid for _, eid in list(reached.values())[1:]]
 
 
 def _union(parent: Dict[str, str], a: str, b: str) -> bool:
@@ -315,28 +305,17 @@ def fundamental_group_presentation(
 
 
 def _components_without(gog: GraphOfGroups, edge_id: str) -> List[List[str]]:
-    adj = {v: [] for v in gog.vertex_groups}
-    for e in gog.edges:
-        if e.id == edge_id:
-            continue
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    comps = []
+    adj = _adjacency(gog)
+
+    def step(u: str):
+        return ((eid, w) for eid, w in adj[u] if eid != edge_id)
+
+    comps: List[List[str]] = []
     seen = set()
     for start in gog.vertex_groups:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(comp)
+        if start not in seen:
+            comps.append(list(_breadth_first(start, step)))
+            seen.update(comps[-1])
     return comps
 
 
@@ -459,6 +438,11 @@ def decompose_along_edge(
     )
 
 
+def _letters(perms: Dict[str, Tuple[int, ...]]):
+    """The step of the coset graph: (generator, image) for each generator."""
+    return lambda i: ((sym, images[i - 1]) for sym, images in perms.items())
+
+
 @dataclass(frozen=True)
 class CosetAction:
     """A right action of a free group on cosets 1..degree, one
@@ -476,19 +460,10 @@ class CosetAction:
         for sym, images in perms.items():
             check_symbol(sym)
             images = tuple(int(i) for i in images)
-            if sorted(images) != list(range(1, degree + 1)):
+            if len(images) != degree or sorted(images) != list(range(1, degree + 1)):
                 raise DomainError(f"images of {sym!r} are not a permutation of 1..{degree}")
             norm[sym] = images
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            i = queue.popleft()
-            for images in norm.values():
-                j = images[i - 1]
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return CosetAction(degree, norm, len(seen) == degree)
+        return CosetAction(degree, norm, len(_breadth_first(1, _letters(norm))) == degree)
 
     def apply_letter(self, sym: str, sign: int, coset: int) -> int:
         if sym not in self.perms:
@@ -537,27 +512,17 @@ def schreier_rank(r: int, action: CosetAction) -> SchreierRecord:
         raise DomainError(f"rank {r} does not match {len(action.perms)} permutations")
     if not action.transitive:
         raise NotTransitive("the coset action is not transitive")
-    coset_word: Dict[int, Word] = {1: ()}
-    order = [1]
-    queue = deque([1])
-    tree_edges = set()
-    while queue:
-        i = queue.popleft()
-        for sym, images in action.perms.items():
-            j = images[i - 1]
-            if j not in coset_word:
-                coset_word[j] = coset_word[i] + ((sym, 1),)
-                tree_edges.add((i, sym))
-                order.append(j)
-                queue.append(j)
+    reached = _breadth_first(1, _letters(action.perms))
+    coset_word: Dict[int, Word] = {}
+    for j, link in reached.items():
+        coset_word[j] = () if link is None else coset_word[link[0]] + ((link[1], 1),)
     gens: List[Word] = []
-    for i in order:
+    for i in reached:
         for sym, images in action.perms.items():
-            if (i, sym) in tree_edges:
-                continue
             j = images[i - 1]
-            word = free_reduce(coset_word[i] + ((sym, 1),) + invert_word(coset_word[j]))
-            gens.append(word)
+            if reached[j] != (i, sym):  # not the tree edge that first reached j
+                word = free_reduce(coset_word[i] + ((sym, 1),) + invert_word(coset_word[j]))
+                gens.append(word)
     return SchreierRecord(len(gens), tuple(gens))
 
 

@@ -29,6 +29,8 @@ from .errors import DomainError, EmbeddingError, GroupMismatch, UndefinedRatio
 
 Rational = Union[int, str, Fraction]
 
+MAX_RANK = 100  # groups read from JSON; the zero alone holds rank coordinates
+
 
 def _to_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
@@ -84,7 +86,14 @@ class LambdaGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "LambdaGroup":
-        return LambdaGroup(int(obj["rank"]), bool(obj.get("dyadic", False)))
+        rank, dyadic = obj["rank"], obj.get("dyadic", False)
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise DomainError(f"group rank {rank!r} is not an integer")
+        if rank > MAX_RANK:
+            raise DomainError(f"group rank {rank} exceeds the bound {MAX_RANK}")
+        if not isinstance(dyadic, bool):
+            raise DomainError(f"group dyadic flag {dyadic!r} is not true or false")
+        return LambdaGroup(rank, dyadic)
 
 
 def _checked(coords, group: LambdaGroup):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -86,6 +87,11 @@ class Mat2:
         return Mat2(self.field, self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def is_unimodular(self) -> bool:
+        return self._unimodular
+
+    # computed once per matrix: every act, length and fixed-vertex call checks it
+    @cached_property
+    def _unimodular(self) -> bool:
         return self.det() == self.field.one()
 
     def entries(self) -> tuple:
@@ -100,7 +106,7 @@ class Mat2:
 
 
 def _require_sl2(g: Mat2) -> None:
-    if not g.is_unimodular():
+    if not g._unimodular:
         raise DeterminantNotOne(f"determinant is {g.field.element_to_string(g.det())}")
 
 

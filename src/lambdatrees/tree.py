@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._walk import _breadth_first
 from .errors import (
     DomainError,
     GroupMismatch,
@@ -74,7 +75,7 @@ class LambdaTree:
 
     def __init__(self, group: LambdaGroup, vertices: Iterable[str], edges, edge_ids=None):
         self.group = group
-        self.vertices = tuple(dict.fromkeys(str(v) for v in vertices))
+        self.vertices = tuple(str(v) for v in vertices)
         vertex_set = set(self.vertices)
         if len(vertex_set) != len(self.vertices):
             raise DomainError("duplicate vertex identifiers")
@@ -103,16 +104,18 @@ class LambdaTree:
             self.edges[eid] = edge
             self.adjacency[a].append((eid, b))
             self.adjacency[b].append((eid, a))
-        self._check_tree_shape()
-        self._parent: Optional[Dict[str, Optional[Tuple[str, str]]]] = None
-        self._depth: Optional[Dict[str, int]] = None
-        self._wdepth: Optional[Dict[str, LambdaElement]] = None
-
-    def _check_tree_shape(self) -> None:
         if len(self.edges) != len(self.vertices) - 1:
             raise DomainError("edge count does not match a tree")
-        if len(_reachable(self.adjacency, self.vertices[0])) != len(self.vertices):
+        # rooted at vertices[0]: (parent, edge to it), edge count and height
+        root = self.vertices[0]
+        self._parent = _breadth_first(root, self.adjacency.__getitem__)
+        if len(self._parent) != len(self.vertices):
             raise DomainError("graph is not connected")
+        self._depth = {root: 0}
+        self._wdepth = {root: group.zero()}
+        for v, (up, eid) in list(self._parent.items())[1:]:
+            self._depth[v] = self._depth[up] + 1
+            self._wdepth[v] = self._wdepth[up] + self.edges[eid].length
 
     # -- point handling ------------------------------------------------
 
@@ -178,26 +181,7 @@ class LambdaTree:
 
     # -- rooted bookkeeping ---------------------------------------------
 
-    def _ensure_rooted(self) -> None:
-        if self._parent is not None:
-            return
-        root = self.vertices[0]
-        parent: Dict[str, Optional[Tuple[str, str]]] = {root: None}
-        depth = {root: 0}
-        wdepth = {root: self.group.zero()}
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for eid, w in self.adjacency[v]:
-                if w not in parent:
-                    parent[w] = (v, eid)
-                    depth[w] = depth[v] + 1
-                    wdepth[w] = wdepth[v] + self.edges[eid].length
-                    queue.append(w)
-        self._parent, self._depth, self._wdepth = parent, depth, wdepth
-
     def lowest_common_ancestor(self, u: str, v: str) -> str:
-        self._ensure_rooted()
         depth = self._depth
         parent = self._parent
         while depth[u] > depth[v]:
@@ -237,7 +221,6 @@ class LambdaTree:
         p^q is where the paths from p and q to the root meet: the higher
         of p and q when w is one of the anchors, and w otherwise.
         """
-        self._ensure_rooted()
         cp, hp = self._anchor(p)
         cq, hq = self._anchor(q)
         w = self.lowest_common_ancestor(cp, cq)
@@ -315,25 +298,20 @@ class LambdaTree:
     def convex_quotient_tree(self, subgroup: ConvexSubgroup) -> "QuotientResult":
         if subgroup.group != self.group:
             raise GroupMismatch("subgroup is over a different group")
-        rep = {v: v for v in self.vertices}
-
-        def find(v: str) -> str:
-            while rep[v] != v:
-                rep[v] = rep[rep[v]]
-                v = rep[v]
-            return v
-
         inside = {eid: subgroup.contains(e.length) for eid, e in self.edges.items()}
-        for edge in self._edge_list():
-            if inside[edge.id]:
-                ra, rb = find(edge.a), find(edge.b)
-                if ra != rb:
-                    high, low = (ra, rb) if ra > rb else (rb, ra)
-                    rep[high] = low
-        vertex_map = {v: find(v) for v in self.vertices}
+
+        def step(v: str):
+            return ((eid, w) for eid, w in self.adjacency[v] if inside[eid])
+
+        # each fiber is named by its least vertex
+        root: Dict[str, str] = {}
         component: Dict[str, List[str]] = {}
         for v in self.vertices:
-            component.setdefault(vertex_map[v], []).append(v)
+            if v not in root:
+                fiber = list(_breadth_first(v, step))
+                component[min(fiber)] = fiber
+                root.update(dict.fromkeys(fiber, min(fiber)))
+        vertex_map = {v: root[v] for v in self.vertices}
         new_edges = []
         new_ids = []
         fiber_edges: Dict[str, list] = {root: [] for root in component}
@@ -501,7 +479,7 @@ def _structural_report(group, vertices, edges) -> Optional[dict]:
         adjacency[a].append((i, b))
         adjacency[b].append((i, a))
     # connectivity
-    seen = _reachable(adjacency, ids[0])
+    seen = _breadth_first(ids[0], adjacency.__getitem__)
     if len(seen) != len(ids):
         inside = ids[0]
         outside = next(v for v in ids if v not in seen)
@@ -520,19 +498,6 @@ def _structural_report(group, vertices, edges) -> Optional[dict]:
             "witness": f"two distinct segments join {u} and {v}: cycle detected",
         }
     return None
-
-
-def _reachable(adjacency, start: str) -> set:
-    """Vertices joined to start, by depth-first search over (edge, neighbour) lists."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for _, w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _find_cycle(ids, adjacency) -> Tuple[str, str]:

@@ -476,7 +476,7 @@ _PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"p = {n!r} is not an integer")
     if n < 2:
         return False
@@ -676,10 +676,7 @@ class ValuedField:
 
     def element_from_string(self, text: str) -> FieldElement:
         if self.base == "Q":
-            try:
-                return Fraction(text.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"cannot parse rational {text!r}") from exc
+            return _rational(text)
         value = parse_rational_function(text)
         return value
 
@@ -698,12 +695,12 @@ class ValuedField:
     def from_json(obj: dict) -> "ValuedField":
         field = obj.get("field")
         if field == "Q":
-            return ValuedField.rationals(int(obj["p"]))
+            return ValuedField.rationals(obj["p"])
         if field == "Q(t)":
             at = str(obj.get("at"))
             if at == "inf":
                 return ValuedField.function_field_at_infinity()
-            return ValuedField.function_field_at(Fraction(at))
+            return ValuedField.function_field_at(_rational(at))
         raise DomainError(f"unsupported field description {obj!r}")
 
     def __str__(self):
@@ -712,6 +709,13 @@ class ValuedField:
         if self.kind == "at_infinity":
             return "(Q(t), v_inf)"
         return f"(Q(t), v at t={self.point})"
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse rational {text!r}") from exc
 
 
 def is_formally_real(field: ValuedField) -> bool:

@@ -546,3 +546,91 @@ def test_oversized_lattice_ball_is_refused_before_enumeration(tmp_path):
     doc = json.loads(out)
     assert doc["error"] == "DomainError"
     assert doc["message"] == "a radius-9 ball in the tree of Q_13 has more than 100000 vertices"
+
+
+def one_vertex_tree(group):
+    return {"group": group, "vertices": ["u"], "edges": []}
+
+
+def half_edge_tree(group):
+    return {"group": group, "vertices": ["u", "v"], "edges": [{"a": "u", "b": "v", "len": ["1/2"]}]}
+
+
+# (task file text, exit code, stdout error class or None, message); at the
+# parent each of these gave a traceback, ran past 10 s, or answered as if the
+# field held a valid value
+HOSTILE_TASKS = {
+    "rank-overflows-int": (
+        json.dumps({"command": "tree-distance", "payload": {
+            "tree": one_vertex_tree({"rank": "RANK"}), "p": "u", "q": "u"}}).replace(
+                '"RANK"', "1e400"),
+        2, "DomainError", "group rank inf is not an integer"),
+    "rank-too-large": (
+        json.dumps({"command": "tree-distance", "payload": {
+            "tree": one_vertex_tree({"rank": 10**8}), "p": "u", "q": "u"}}),
+        2, "DomainError", "group rank 100000000 exceeds the bound 100"),
+    "dyadic-not-a-bool": (
+        json.dumps({"command": "tree-distance", "payload": {
+            "tree": half_edge_tree({"rank": 1, "dyadic": "no"}), "p": "u", "q": "v"}}),
+        2, "DomainError", "group dyadic flag 'no' is not true or false"),
+    "p-not-an-integer": (
+        json.dumps({"command": "sl2-act", "payload": {
+            "field": {"field": "Q", "p": 2.5}, "matrix": ["1", "0", "0", "1"]}}),
+        2, "DomainError", "p = 2.5 is not an integer"),
+    "point-divides-by-zero": (
+        json.dumps({"command": "sl2-act", "payload": {
+            "field": {"field": "Q(t)", "at": "1/0"}, "matrix": ["1", "0", "0", "1"]}}),
+        2, "DomainError", "cannot parse rational '1/0'"),
+    "degree-without-images": (
+        json.dumps({"command": "schreier-rank", "payload": {
+            "rank": 1, "action": {"degree": 10**11, "perms": {"a": [1]}}}}),
+        2, "DomainError", "images of 'a' are not a permutation of 1..100000000000"),
+    "samples-too-many": (
+        json.dumps({"command": "check-axioms", "payload": {
+            "tree": LINE_TREE, "samples": 10**8}}),
+        1, None, "bad payload for check-axioms: samples 100000000 exceeds the bound 10000"),
+    "duplicate-vertex-ids": (
+        json.dumps({"command": "tree-distance", "payload": {"tree": {
+            "group": {"rank": 1}, "vertices": ["a", "a", "b"],
+            "edges": [{"a": "a", "b": "b", "len": ["1"]}]}, "p": "a", "q": "b"}}),
+        2, "DomainError", "duplicate vertex identifiers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_TASKS))
+def test_hostile_field_ends_in_a_structured_error(tmp_path, case):
+    text, want_code, want_error, want_message = HOSTILE_TASKS[case]
+    task = tmp_path / "task.json"
+    task.write_text(text)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambdatrees", "--task", str(task)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == want_code, proc.stderr
+    if want_error is None:
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == want_message
+    else:
+        assert json.loads(proc.stdout) == {"error": want_error, "message": want_message}
+
+
+def test_boolean_and_unparsable_fields_are_refused(tmp_path, capsys):
+    cases = [
+        ({"command": "check-axioms", "payload": {"tree": LINE_TREE, "samples": True}},
+         1, "bad payload for check-axioms: samples must be a nonnegative integer\n"),
+        ({"command": "sl2-act", "payload": {"field": {"field": "Q", "p": True},
+                                            "matrix": ["1", "0", "0", "1"]}},
+         2, "p = True is not an integer"),
+        ({"command": "sl2-act", "payload": {"field": {"field": "Q(t)", "at": "nan"},
+                                            "matrix": ["1", "0", "0", "1"]}},
+         2, "cannot parse rational 'nan'"),
+        ({"command": "tree-distance", "payload": {
+            "tree": one_vertex_tree({"rank": True}), "p": "u", "q": "u"}},
+         2, "group rank True is not an integer"),
+    ]
+    for document, want_code, want in cases:
+        code, out, err = run_cli(["--task", write_task(tmp_path, "t.json", document)], capsys)
+        assert code == want_code, document
+        assert (err if code == 1 else json.loads(out)["message"]) == want
