@@ -556,9 +556,9 @@ def half_edge_tree(group):
     return {"group": group, "vertices": ["u", "v"], "edges": [{"a": "u", "b": "v", "len": ["1/2"]}]}
 
 
-# (task file text, exit code, stdout error class or None, message); at the
-# parent each of these gave a traceback, ran past 10 s, or answered as if the
-# field held a valid value
+# (task file text, exit code, stdout error class or None, message); before
+# these checks each task gave a traceback, ran past 10 s, or answered as if
+# the field held a valid value
 HOSTILE_TASKS = {
     "rank-overflows-int": (
         json.dumps({"command": "tree-distance", "payload": {
