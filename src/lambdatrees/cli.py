@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, LambdaTreeError
+from .errors import LambdaTreeError
 from .graph_of_groups import (
     CosetAction,
     GraphOfGroups,

@@ -237,6 +237,7 @@ class TreeIsometry:
         self._hull_cache: Optional[Tuple[set, Dict[str, Tuple[str, str]]]] = None
         self._profile_cache: Optional[Tuple[list, list]] = None
         self._image_cache: Dict[str, TreePoint] = {}
+        self._inverse_cache: Optional[TreeIsometry] = None
         if not _trusted:
             self._validate()
 
@@ -336,28 +337,36 @@ class TreeIsometry:
         )
 
     def compose(self, other: "TreeIsometry") -> "TreeIsometry":
-        """self after other: x maps to self(other(x))."""
+        """self after other: x maps to self(other(x)).
+
+        The composite lists, in tree order, each vertex of other's mapped
+        subtree whose image self's mapped subtree holds.  A point of the
+        letter-by-letter domain that those vertices do not span, such as
+        half an edge, stays outside the composite.
+        """
         if other.tree is not self.tree:
             raise TreeMismatch("isometries act on different trees")
+        members, _ = other._hull()
         images = {}
-        for v in other.vertex_images:
-            try:
+        for v in self.tree.vertices:
+            if v in members:
                 mid = other._vertex_image(v)
-                images[v] = self.apply(mid)
-            except OrbitEscapesTree:
-                continue
+                if self._spans(mid):
+                    images[v] = self.apply(mid)
         if not images:
             raise OrbitEscapesTree("composite has empty domain")
         return TreeIsometry(self.tree, images, _trusted=True)
 
     def inverse(self) -> "TreeIsometry":
+        """The inverse map, built once: its hull and images are then kept too."""
+        if self._inverse_cache is None:
+            self._inverse_cache = TreeIsometry(self.tree, self._preimages(), _trusted=True)
+        return self._inverse_cache
+
+    def _preimages(self) -> Dict[str, TreePoint]:
         if all(img.is_vertex() for img in self.vertex_images.values()):
             # vertex-to-vertex maps invert by swapping the pairs
-            images = {
-                img.vertex: self.tree.vertex_point(v)
-                for v, img in self.vertex_images.items()
-            }
-            return TreeIsometry(self.tree, images, _trusted=True)
+            return {img.vertex: self.tree.vertex_point(v) for v, img in self.vertex_images.items()}
         # every tree vertex in the image is the image of a hull vertex or
         # lies on the image path of a hull edge, at its preimage's offset
         members, _ = self._hull()
@@ -376,7 +385,7 @@ class TreeIsometry:
         images = {w: preimages[w] for w in self.tree.vertices if w in preimages}
         if not images:
             raise OrbitEscapesTree("inverse has empty domain")
-        return TreeIsometry(self.tree, images, _trusted=True)
+        return images
 
     def is_identity(self) -> bool:
         return all(
@@ -592,40 +601,13 @@ def classify(phi: TreeIsometry) -> IsometryClass:
     return phi.classify()
 
 
-def _word_image(letters: Sequence[TreeIsometry], p: TreePoint, memo: dict,
-                top: Optional[int] = None) -> Optional[TreePoint]:
-    """p under letters[0] o ... o letters[top], or None outside that composite.
-
-    top defaults to the last letter.  The domain is the one compose()
-    gives the composite: a vertex counts only as a listed domain vertex
-    of the letter applied to it, and an edge point only when both ends
-    of its edge are mapped by the letters still to apply.  Points in this
-    domain are in the mapped subtree of the composite that compose()
-    builds, and get the same image there.  memo holds the image of each
-    (level, vertex) pair met so far; without it the edge-end checks would
-    repeat whole chains, exponentially in the word length.
-    """
-    k = len(letters) - 1 if top is None else top
-    seen = []
-    while p is not None and k >= 0:
-        letter = letters[k]
-        if p.is_vertex():
-            key = (k, p.vertex)
-            if key in memo:
-                p = memo[key]
-                break
-            seen.append(key)
-            p = letter.vertex_images.get(p.vertex)
-        else:
-            edge = letter.tree.edges[p.edge]
-            ends = (TreePoint.at_vertex(edge.a), TreePoint.at_vertex(edge.b))
-            if any(_word_image(letters, end, memo, k) is None for end in ends):
-                p = None
-            else:
-                p = letter.apply(p)
-        k -= 1
-    for key in seen:
-        memo[key] = p
+def _word_image(letters: Sequence[TreeIsometry], p: TreePoint) -> Optional[TreePoint]:
+    """p under letters[0] o ... o letters[-1], applied letter by letter, or
+    None once a letter's mapped subtree does not hold the point."""
+    for letter in reversed(letters):
+        if not letter._spans(p):
+            return None
+        p = letter.apply(p)
     return p
 
 
@@ -633,25 +615,25 @@ def two_point_length(letters: Sequence[TreeIsometry]) -> Optional[LambdaElement]
     """Translation length of letters[0] o ... o letters[-1], certified, or None.
 
     Takes the first vertex x of the tree whose images gx and g^2x are
-    defined and reads l = max(0, d(x, g^2x) - d(x, gx)) (Culler-Morgan).
-    The point y at (d(x, gx) - l)/2 along [x, gx] projects x onto the
-    axis, or onto the fixed set when l = 0.  The length is returned only
-    when y certifies it: gy = y for l = 0; for l > 0, d(y, gy) = l with
-    y also in the domain of the square.  Then classify() on the composite
-    built by compose() returns the same length, since y lies in the
-    sets it scans.  None means no certificate: no such x, a y outside
-    the group (an inversion over a non-dyadic group), or a y that escapes
-    or fails its check; the caller then composes and classifies.
+    defined letter by letter and reads l = max(0, d(x, g^2x) - d(x, gx)).
+    Each letter is the restriction of an isometry of a larger tree, and
+    the word then extends to an isometry G of that tree which agrees with
+    every letter-by-letter image; by Culler-Morgan, l(G) is this value at
+    any point x, whatever extension is taken.  The point y at
+    (d(x, gx) - l)/2 along [x, gx] projects x onto the axis, or onto the
+    fixed set when l = 0, and the length is returned only when y
+    certifies that this set meets the tree: gy = y for l = 0; for l > 0,
+    d(y, gy) = l with g^2y also defined.  None means no certificate: no
+    such x, a y outside the group (an inversion over a non-dyadic group),
+    or a y that escapes or fails its check; the caller then composes and
+    classifies.
     """
     tree = letters[0].tree
-    # one memo serves letters and letters * 2: a chain from level k < len(letters)
-    # runs through the same letters in both
-    memo: dict = {}
     for v in tree.vertices:
         x = TreePoint.at_vertex(v)
-        gx = _word_image(letters, x, memo)
+        gx = _word_image(letters, x)
         if gx is not None:
-            g2x = _word_image(letters, gx, memo)
+            g2x = _word_image(letters, gx)
             if g2x is not None:
                 break
     else:
@@ -661,12 +643,12 @@ def two_point_length(letters: Sequence[TreeIsometry]) -> Optional[LambdaElement]
     if not in_two_lambda(moved - length):
         return None
     y = tree.path_walk(x, gx).point_at(half_in_group(moved - length))
-    gy = _word_image(letters, y, memo)
+    gy = _word_image(letters, y)
     if gy is None:
         return None
     if length.is_zero():
         return length if gy == y else None
-    if _word_image(list(letters) * 2, y, memo) is None or tree.distance(y, gy) != length:
+    if _word_image(letters, gy) is None or tree.distance(y, gy) != length:
         return None
     return length
 

@@ -40,7 +40,6 @@ from .words import (
     cyclic_reduce,
     format_word,
     free_reduce,
-    invert_word,
     least_rotation,
     parse_word,
     word_key,
@@ -190,13 +189,8 @@ def _as_classes(classes, generators) -> Tuple[ConjClass, ...]:
     return tuple(out)
 
 
-def _tree_length(action: Dict[str, TreeIsometry], word: Word,
-                 inverses: Dict[str, TreeIsometry]) -> LambdaElement:
-    letters = []
-    for sym, sign in word:
-        if sign == -1 and sym not in inverses:
-            inverses[sym] = action[sym].inverse()
-        letters.append(action[sym] if sign == 1 else inverses[sym])
+def _tree_length(action: Dict[str, TreeIsometry], word: Word) -> LambdaElement:
+    letters = [action[sym] if sign == 1 else action[sym].inverse() for sym, sign in word]
     length = two_point_length(letters)
     if length is not None:
         return length
@@ -245,10 +239,8 @@ def length_function(action: dict, classes: Sequence) -> ClassFunction:
         for v in values:
             if v.tree is not tree:
                 raise TreeMismatch("action isometries live on different trees")
-        inverses: Dict[str, TreeIsometry] = {}
         lengths = _class_values(
-            class_list, tree.group.zero(),
-            lambda word: _tree_length(action, word, inverses),
+            class_list, tree.group.zero(), lambda word: _tree_length(action, word)
         )
         return ClassFunction.make(class_list, lengths)
     if all(isinstance(v, Mat2) for v in values):

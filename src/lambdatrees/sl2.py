@@ -86,9 +86,6 @@ class Mat2:
             raise SingularLattice("matrix is singular")
         return Mat2(self.field, self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    def is_unimodular(self) -> bool:
-        return self._unimodular
-
     # computed once per matrix: every act, length and fixed-vertex call checks it
     @cached_property
     def _unimodular(self) -> bool:

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._walk import _breadth_first
-from .errors import (
-    DomainError,
-    GroupMismatch,
-    InvalidEdge,
-    InvalidPoint,
-    TreeMismatch,
-)
+from .errors import DomainError, GroupMismatch, InvalidEdge, InvalidPoint
 from .ordered import (
     ConvexSubgroup,
     LambdaElement,

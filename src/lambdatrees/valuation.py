@@ -355,6 +355,17 @@ def _as_rf(value) -> Optional[RationalFunction]:
 MAX_NESTING = 100
 MAX_DEGREE = 100
 
+# A number written out in an entry is refused before it is converted when it
+# has more than MAX_DIGITS digits or a decimal exponent beyond MAX_EXPONENT:
+# Fraction expands "1e100000" into an integer of 100,001 digits, and int()
+# raises ValueError on strings of more than 4,300 digits.
+MAX_DIGITS = 250
+MAX_EXPONENT = 250
+
+
+def _shown(text: str) -> str:
+    return repr(text if len(text) <= 20 else text[:20] + "...")
+
 
 class _ExpressionParser:
     """Recursive-descent parser for field-element expressions.
@@ -461,6 +472,9 @@ class _ExpressionParser:
             self.pos += 1
         if start == self.pos:
             raise DomainError(f"expected a number at position {start}: {self.text!r}")
+        if self.pos - start > MAX_DIGITS:
+            raise DomainError(f"{self.pos - start} digits at position {start} exceed "
+                              f"the digit bound {MAX_DIGITS}")
         return int(self.text[start : self.pos])
 
 
@@ -712,6 +726,17 @@ class ValuedField:
 
 
 def _rational(text: str) -> Fraction:
+    digits = sum(ch.isdigit() for ch in text)
+    if digits > MAX_DIGITS:
+        raise DomainError(f"{digits} digits in {_shown(text)} exceed the digit bound {MAX_DIGITS}")
+    _, marker, exponent = text.lower().partition("e")
+    try:
+        scale = int(exponent) if marker else 0
+    except ValueError:
+        scale = 0  # not an exponent: Fraction refuses the text below
+    if abs(scale) > MAX_EXPONENT:
+        raise DomainError(f"exponent {scale} in {_shown(text)} exceeds the exponent "
+                          f"bound {MAX_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

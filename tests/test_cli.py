@@ -589,6 +589,14 @@ HOSTILE_TASKS = {
         json.dumps({"command": "check-axioms", "payload": {
             "tree": LINE_TREE, "samples": 10**8}}),
         1, None, "bad payload for check-axioms: samples 100000000 exceeds the bound 10000"),
+    "decimal-exponent-too-large": (
+        json.dumps({"command": "sl2-act", "payload": {
+            "field": {"field": "Q", "p": 2}, "matrix": ["1e100000", "0", "0", "1e-100000"]}}),
+        2, "DomainError", "exponent 100000 in '1e100000' exceeds the exponent bound 250"),
+    "integer-too-long": (
+        json.dumps({"command": "sl2-act", "payload": {
+            "field": {"field": "Q(t)", "at": "0"}, "matrix": ["1", "9" * 5000 + "*t", "0", "1"]}}),
+        2, "DomainError", "5000 digits at position 0 exceed the digit bound 250"),
     "duplicate-vertex-ids": (
         json.dumps({"command": "tree-distance", "payload": {"tree": {
             "group": {"rank": 1}, "vertices": ["a", "a", "b"],

@@ -3,8 +3,11 @@
 two_point_length returns a translation length only with a certificate,
 and length_function falls back to composing the word and classifying it
 otherwise.  The oracle here is that fallback: on every generated word
-the certified value must equal classify()'s length, and whenever the
-certificate is refused the fallback's value or error class stands.
+where it gives a length the certified value must equal it, and whenever
+the certificate is refused the fallback's value or error class stands.
+Where the fallback raises because the composite keeps only part of the
+word's domain, the certified value is checked against the Culler-Morgan
+formula at every vertex the word maps twice letter by letter.
 """
 
 import collections
@@ -16,7 +19,7 @@ import pytest
 from lambdatrees.errors import LambdaTreeError, OrbitEscapesTree
 from lambdatrees.isometry import TreeIsometry, two_point_length
 from lambdatrees.lengths import enumerate_classes, free_group_action, length_function
-from lambdatrees.ordered import LambdaGroup
+from lambdatrees.ordered import LambdaGroup, half_in_group, in_two_lambda
 from lambdatrees.tree import LambdaTree
 
 GROUPS = [LambdaGroup(1), LambdaGroup(2), LambdaGroup(1, dyadic=True), LambdaGroup(2, dyadic=True)]
@@ -186,9 +189,32 @@ def compose_then_classify(letters):
         return type(exc)
 
 
+def letter_by_letter(letters, p):
+    """p under letters[0] o ... o letters[-1] by apply, or None where one escapes."""
+    for letter in reversed(letters):
+        try:
+            p = letter.apply(p)
+        except OrbitEscapesTree:
+            return None
+    return p
+
+
+def culler_morgan_values(tree, letters):
+    """max(0, d(x, g^2 x) - d(x, g x)) at every vertex x where g^2 x is defined."""
+    values = []
+    for v in tree.vertices:
+        x = tree.vertex_point(v)
+        gx = letter_by_letter(letters, x)
+        g2x = None if gx is None else letter_by_letter(letters, gx)
+        if g2x is not None:
+            values.append(max(tree.group.zero(), tree.distance(x, g2x) - tree.distance(x, gx)))
+    return values
+
+
 def test_two_point_length_matches_classify_on_generated_words():
     rng = random.Random(2024)
     outcomes = collections.Counter()
+    beyond_the_composite = 0
     for case in range(200):
         group = GROUPS[case % len(GROUPS)]
         builder = BUILDERS[(case // len(GROUPS)) % len(BUILDERS)]
@@ -205,10 +231,59 @@ def test_two_point_length_matches_classify_on_generated_words():
             if fast is None:
                 outcomes["fallback"] += 1
                 continue
+            if isinstance(slow, type):
+                # the composite keeps only the vertex-spanned part of the
+                # word's domain; the certified value is still the length
+                # every extension of the letters has
+                values = culler_morgan_values(tree, letters)
+                assert values and set(values) == {fast}, (builder.__name__, group, word, fast, values)
+                beyond_the_composite += 1
+                continue
             assert fast == slow, (builder.__name__, group, word, fast, slow)
             outcomes["certified zero" if fast.is_zero() else "certified positive"] += 1
     # every branch of the certificate is exercised, and so is the fallback
     assert min(outcomes.values()) >= 50, outcomes
+    assert beyond_the_composite > 0
+
+
+def test_compose_lists_each_inner_hull_vertex_the_outer_map_holds():
+    rng = random.Random(11)
+    checked = collections.Counter()
+    for case in range(40):
+        group = GROUPS[case % len(GROUPS)]
+        builder = BUILDERS[case % len(BUILDERS)]
+        tree, g, h = builder(rng, group)
+        maps = [m for m in (g, h, inverse_or_none(g), inverse_or_none(h)) if m is not None]
+        for outer, inner in itertools.product(maps, repeat=2):
+            hull, inner_hull = outer.hull_vertices(), inner.hull_vertices()
+
+            def held(p):
+                if p.is_vertex():
+                    return p.vertex in hull
+                edge = tree.edges[p.edge]
+                return edge.a in hull and edge.b in hull
+
+            want = {}
+            for v in tree.vertices:
+                if v in inner_hull:
+                    mid = inner.apply(tree.vertex_point(v))
+                    if held(mid):
+                        want[v] = outer.apply(mid)
+            if not want:
+                with pytest.raises(OrbitEscapesTree, match="^composite has empty domain$"):
+                    outer.compose(inner)
+                checked["empty"] += 1
+                continue
+            composite = outer.compose(inner)
+            assert list(composite.vertex_images.items()) == list(want.items())
+            for eid in composite.hull_edges():
+                length = tree.edges[eid].length
+                if in_two_lambda(length):
+                    mid = tree.edge_point(eid, half_in_group(length))
+                    assert composite.apply(mid) == letter_by_letter([outer, inner], mid)
+                    checked["midpoints"] += 1
+            checked[builder.__name__] += 1
+    assert len(checked) == len(BUILDERS) + 2 and min(checked.values()) >= 10, checked
 
 
 @pytest.mark.parametrize("radius", [3, 4, 5, 6])
@@ -262,8 +337,9 @@ def test_hyperbolic_letter_with_axis_outside_its_domain_still_raises():
 def test_points_the_composed_map_drops_are_not_used():
     # g moves the path p0..p3 (edges of length 2) by 1, h by 2.  Letter by
     # letter h o g is defined on [p0, p1] and half the edge p1-p2, and
-    # g^2 p0 = p3; but compose() keeps only the span of mapped vertices,
-    # [p0, p1], on which the square has an empty domain.
+    # g^2 p0 = p3, so the certified length is 3; but a composite stored
+    # as vertex images keeps only the span of mapped vertices, [p0, p1],
+    # and does not use the half edge, so its square has an empty domain.
     group = LambdaGroup(1)
     tree = path_tree(group, 3, group.element(2))
     g = TreeIsometry(tree, {f"p{i}": tree.edge_point(f"e{i}", group.element(1)) for i in range(3)})
@@ -272,14 +348,13 @@ def test_points_the_composed_map_drops_are_not_used():
     for _ in range(2):
         p = h.apply(g.apply(p))
     assert p == tree.vertex_point("p3")
-    assert two_point_length([h, g]) is None
+    assert two_point_length([h, g]) == group.element(3)
     assert compose_then_classify([h, g]) is OrbitEscapesTree
 
 
 def test_long_words_of_edge_point_letters_take_polynomial_work(monkeypatch):
-    # every other image is an edge point, whose edge ends are checked
-    # through the letters still to apply; unshared, those checks grow
-    # exponentially in the word length
+    # every other image is an edge point; applying the word letter by
+    # letter costs one application per letter for each point evaluated
     group = LambdaGroup(1)
     n, m = 40, 12
     tree = path_tree(group, n, group.element(2))

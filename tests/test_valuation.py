@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from lambdatrees.ordered import LambdaGroup
 from lambdatrees.valuation import (
     INFINITY,
     MAX_DEGREE,
+    MAX_DIGITS,
+    MAX_EXPONENT,
     MAX_NESTING,
     Polynomial,
     RationalFunction,
@@ -267,6 +270,28 @@ def test_element_strings_round_trip_through_field():
         assert Q2.element_from_string(str(x)) == x
         y = rand_rf(rng)
         assert FT0.element_from_string(FT0.element_to_string(y)) == y
+
+
+def test_numbers_are_bounded_before_they_are_converted():
+    widest = "7" * MAX_DIGITS
+    assert Q2.element_from_string(widest) == int(widest)
+    assert Q2.element_from_string(f"-1/{widest[1:]}") == Fraction(-1, int(widest[1:]))
+    assert Q2.element_from_string(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert Q2.element_from_string(f"2.5E-{MAX_EXPONENT}") == Fraction(5, 2 * 10**MAX_EXPONENT)
+    assert FT0.element_from_string(f"{widest} * t") == rf("t") * int(widest)
+    shown = re.escape("'1/" + "7" * 18 + "...'")
+    with pytest.raises(DomainError, match=f"^{MAX_DIGITS + 1} digits in {shown} exceed "
+                                          f"the digit bound {MAX_DIGITS}$"):
+        Q2.element_from_string(f"1/{widest}")
+    with pytest.raises(DomainError, match=f"^exponent -{MAX_EXPONENT + 1} in '1e-{MAX_EXPONENT + 1}'"
+                                          f" exceeds the exponent bound {MAX_EXPONENT}$"):
+        Q2.element_from_string(f"1e-{MAX_EXPONENT + 1}")
+    with pytest.raises(DomainError, match=f"^{MAX_DIGITS + 1} digits at position 4 exceed "
+                                          f"the digit bound {MAX_DIGITS}$"):
+        FT0.element_from_string(f"t + 1{widest}")
+    # text that is not a number still gets the parse error
+    with pytest.raises(DomainError, match="^cannot parse rational '1e'$"):
+        Q2.element_from_string("1e")
 
 
 def _prime_by_trial_division(n):
