@@ -8,6 +8,11 @@ or is the bare payload, with the command named on the command line.
 Results are deterministic JSON (sorted keys); exit status 0 means
 success, 1 a parse or usage error, and 2 a domain error, in which case
 the result document carries the error code and message.
+
+Each handler imports the library modules it runs, so a command loads only
+its own layers: ``tree-distance`` never loads the field stack, and
+``schreier-rank`` loads neither stack.  ``--stats FILE`` writes the
+command's phase times, loaded modules, task size and peak memory as JSON.
 """
 
 from __future__ import annotations
@@ -15,43 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .errors import LambdaTreeError
-from .graph_of_groups import (
-    CosetAction,
-    GraphOfGroups,
-    decompose_along_edge,
-    fundamental_group_presentation,
-    schreier_graph_dot,
-    schreier_rank,
-    validate_graph_of_groups,
-)
-from .isometry import TreeIsometry
-from .lengths import (
-    ProjectivePoint,
-    canonical_class,
-    converge_check,
-    converge_csv,
-    free_group_action,
-    length_function,
-    mu,
-    theta,
-)
-from .ordered import ConvexSubgroup, LambdaGroup
-from .sl2 import (
-    Mat2,
-    act,
-    ball,
-    ball_to_dot,
-    base_vertex,
-    canonical_vertex,
-    find_fixed_vertex,
-    sl2_translation_length,
-)
-from .tree import LambdaTree, check_axioms
-from .valuation import ValuedField
 
 
 MAX_SAMPLES = 10_000  # check-axioms samples; each costs a few segments and medians
@@ -74,21 +45,28 @@ def _need_int(payload: dict, key: str) -> int:
     return value
 
 
-def _tree(payload: dict) -> LambdaTree:
+def _tree(payload: dict):
+    from .tree import LambdaTree
+
     return LambdaTree.from_json(_need(payload, "tree"))
 
 
-def _field(obj) -> ValuedField:
+def _field(obj):
+    from .valuation import ValuedField
+
     if not isinstance(obj, dict):
         raise PayloadError("field description must be an object")
     return ValuedField.from_json(obj)
 
 
-def _point_from_json(obj) -> ProjectivePoint:
+def _point_from_json(obj):
+    from .lengths import ProjectivePoint, canonical_class
+    from .ordered import bounded_fraction
+
     classes = [canonical_class(c) for c in _need(obj, "classes")]
     exact = bool(obj.get("exact", True))
     raw = _need(obj, "coords")
-    coords = [Fraction(str(c)) for c in raw] if exact else [float(c) for c in raw]
+    coords = [bounded_fraction(str(c)) for c in raw] if exact else [float(c) for c in raw]
     return ProjectivePoint.make(classes, coords, exact)
 
 
@@ -100,12 +78,16 @@ def _run_tree_distance(payload, args):
 
 
 def _run_classify_isometry(payload, args):
+    from .isometry import TreeIsometry
+
     tree = _tree(payload)
     iso = TreeIsometry.from_json(tree, _need(payload, "isometry"))
     return iso.classify().to_json(), None
 
 
 def _run_check_axioms(payload, args):
+    from .tree import check_axioms
+
     candidate = _need(payload, "tree")
     samples = payload.get("samples", 50)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
@@ -117,12 +99,16 @@ def _run_check_axioms(payload, args):
 
 
 def _run_base_change(payload, args):
+    from .ordered import LambdaGroup
+
     tree = _tree(payload)
     target = LambdaGroup.from_json(_need(payload, "target"))
     return {"tree": tree.base_change(target).to_json()}, None
 
 
 def _run_quotient(payload, args):
+    from .ordered import ConvexSubgroup
+
     tree = _tree(payload)
     depth = _need_int(payload, "depth")
     result = tree.convex_quotient_tree(ConvexSubgroup(tree.group, depth))
@@ -134,6 +120,8 @@ def _run_quotient(payload, args):
 
 
 def _run_sl2_act(payload, args):
+    from .sl2 import Mat2, act, base_vertex, canonical_vertex
+
     field = _field(_need(payload, "field"))
     g = Mat2.from_json(field, _need(payload, "matrix"))
     if "vertex" in payload:
@@ -145,6 +133,8 @@ def _run_sl2_act(payload, args):
 
 
 def _run_sl2_ball(payload, args):
+    from .sl2 import Mat2, ball, ball_to_dot, base_vertex, canonical_vertex
+
     field = _field(_need(payload, "field"))
     radius = _need_int(payload, "radius")
     if "center" in payload:
@@ -162,6 +152,8 @@ def _run_sl2_ball(payload, args):
 
 
 def _run_sl2_length(payload, args):
+    from .sl2 import Mat2, find_fixed_vertex, sl2_translation_length
+
     field = _field(_need(payload, "field"))
     g = Mat2.from_json(field, _need(payload, "matrix"))
     tau = sl2_translation_length(g)
@@ -173,6 +165,12 @@ def _run_sl2_length(payload, args):
 
 
 def _run_fundamental_group(payload, args):
+    from .graph_of_groups import (
+        GraphOfGroups,
+        fundamental_group_presentation,
+        validate_graph_of_groups,
+    )
+
     gog = GraphOfGroups.from_json(_need(payload, "graph"))
     tree_edges = payload.get("tree_edges")
     if tree_edges is not None:
@@ -185,11 +183,15 @@ def _run_fundamental_group(payload, args):
 
 
 def _run_decompose_edge(payload, args):
+    from .graph_of_groups import GraphOfGroups, decompose_along_edge
+
     gog = GraphOfGroups.from_json(_need(payload, "graph"))
     return decompose_along_edge(gog, str(_need(payload, "edge"))).to_json(), None
 
 
 def _run_schreier_rank(payload, args):
+    from .graph_of_groups import CosetAction, schreier_graph_dot, schreier_rank
+
     rank = _need_int(payload, "rank")
     action = CosetAction.from_json(_need(payload, "action"))
     record = schreier_rank(rank, action)
@@ -197,6 +199,11 @@ def _run_schreier_rank(payload, args):
 
 
 def _length_action(spec) -> dict:
+    from .isometry import TreeIsometry
+    from .lengths import free_group_action
+    from .sl2 import Mat2
+    from .tree import LambdaTree
+
     if not isinstance(spec, dict):
         raise PayloadError("action must be an object")
     kind = spec.get("type")
@@ -221,11 +228,15 @@ def _length_action(spec) -> dict:
 
 
 def _run_length_function(payload, args):
+    from .lengths import length_function
+
     action = _length_action(_need(payload, "action"))
     return length_function(action, _need(payload, "classes")).to_json(), None
 
 
 def _run_theta(payload, args):
+    from .lengths import theta
+
     matrices = _need(payload, "matrices")
     if not isinstance(matrices, dict):
         raise PayloadError("matrices must map generator symbols to 2x2 arrays")
@@ -234,6 +245,9 @@ def _run_theta(payload, args):
 
 
 def _run_mu(payload, args):
+    from .lengths import mu
+    from .sl2 import Mat2
+
     field = _field(_need(payload, "field"))
     matrices = {
         str(sym): Mat2.from_json(field, entries)
@@ -244,6 +258,9 @@ def _run_mu(payload, args):
 
 
 def _run_converge_check(payload, args):
+    from .lengths import converge_check, converge_csv
+    from .sl2 import Mat2
+
     field = _field(_need(payload, "field"))
     family = {
         str(sym): Mat2.from_json(field, entries)
@@ -300,6 +317,14 @@ def _emit(document: dict, out: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
+    from time import perf_counter
+
+    # phase boundaries: start, handler called, handler done, exit code known
+    clock = [perf_counter()]
+
+    def mark() -> None:
+        clock.append(perf_counter())
+
     parser = argparse.ArgumentParser(
         prog="lambdatrees",
         description="Run a JSON task against the tree library.",
@@ -310,15 +335,34 @@ def main(argv=None) -> int:
     parser.add_argument("--dot", help="write DOT output here (graph commands only)")
     parser.add_argument("--tolerance", type=float, help="tolerance for numeric commands")
     parser.add_argument("--seed", type=int, help="seed for sampling commands")
+    parser.add_argument("--stats", help="write phase times, loaded modules and peak memory "
+                                        "here as JSON")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
 
+    outcome = {"command": None, "error": None}
+    code = _run(args, outcome, mark)
+    mark()
+    if args.stats:
+        return _write_stats(args, code, outcome, clock)
+    return code
+
+
+def _run(args, outcome: dict, mark) -> int:
+    """Read the task, run its command and write the result; the exit code.
+
+    Records the command and the class of any error caught in ``outcome``,
+    and calls ``mark`` as the handler is called and as it returns or raises.
+    """
     try:
         with open(args.task) as handle:
             task = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, undecodable bytes, or an integer
+        # literal past int's digit limit; RecursionError: deep nesting
+        outcome["error"] = type(exc).__name__
         print(f"cannot read task file: {exc}", file=sys.stderr)
         return 1
 
@@ -342,6 +386,7 @@ def main(argv=None) -> int:
     if command not in COMMANDS:
         print(f"unknown command {command!r}", file=sys.stderr)
         return 1
+    outcome["command"] = command
     payload = task.get("payload", task if file_command is None else {})
     if args.tolerance is not None and command not in TOLERANCE_COMMANDS:
         print(f"--tolerance does not apply to {command}", file=sys.stderr)
@@ -353,23 +398,55 @@ def main(argv=None) -> int:
         print(f"{command} produces no DOT output", file=sys.stderr)
         return 1
 
+    mark()
     try:
         result, dot = COMMANDS[command](payload, args)
-    except PayloadError as exc:
-        print(f"bad payload for {command}: {exc}", file=sys.stderr)
+    except (PayloadError, LambdaTreeError, KeyError, TypeError, ValueError) as exc:
+        mark()
+        outcome["error"] = type(exc).__name__
+        if isinstance(exc, LambdaTreeError):
+            _emit({"error": exc.code, "message": str(exc)}, args.out)
+            return 2
+        detail = str(exc) if isinstance(exc, PayloadError) else repr(exc)
+        print(f"bad payload for {command}: {detail}", file=sys.stderr)
         return 1
-    except LambdaTreeError as exc:
-        _emit({"error": exc.code, "message": str(exc)}, args.out)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"bad payload for {command}: {exc!r}", file=sys.stderr)
-        return 1
+    mark()
 
     if args.dot and dot is not None:
         with open(args.dot, "w") as handle:
             handle.write(dot)
     _emit(result, args.out)
     return 0
+
+
+def _write_stats(args, code: int, outcome: dict, clock: list) -> int:
+    """Write the --stats document; the exit code, or 1 if it cannot be written."""
+    import os
+    import resource
+
+    phases = [(end - start) * 1e3 for start, end in zip(clock, clock[1:])]
+    phases += [None] * (3 - len(phases))  # phases a refused task never reached
+    try:
+        task_bytes = os.path.getsize(args.task)
+    except OSError:
+        task_bytes = None
+    stats = {
+        "command": outcome["command"],
+        "exit_code": code,
+        "error": outcome["error"],
+        "parse_ms": phases[0],
+        "compute_ms": phases[1],
+        "emit_ms": phases[2],
+        "modules": sorted(name for name in sys.modules if name.startswith("lambdatrees.")),
+        "task_bytes": task_bytes,
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    }
+    try:
+        _emit(stats, args.stats)
+    except OSError as exc:
+        print(f"cannot write stats file: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

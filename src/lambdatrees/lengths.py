@@ -30,7 +30,7 @@ from .errors import (
     TrivialAction,
 )
 from .isometry import TreeIsometry, two_point_length
-from .ordered import LambdaElement, LambdaGroup, ratio
+from .ordered import LambdaElement, LambdaGroup, bounded_fraction, ratio
 from .sl2 import Mat2, sl2_translation_length
 from .tree import LambdaTree
 from .valuation import RationalFunction, is_infinite
@@ -377,7 +377,7 @@ def converge_check(family: Dict[str, Mat2], parameters: Sequence, classes: Seque
     nonnegative valuation does not degenerate; the report says so
     instead of raising.
     """
-    params = [Fraction(str(s)) if not isinstance(s, Fraction) else s for s in parameters]
+    params = [s if isinstance(s, Fraction) else bounded_fraction(str(s)) for s in parameters]
     if not params:
         raise DomainError("no parameter values supplied")
     if any(b <= a for a, b in zip(params, params[1:])):

@@ -31,10 +31,43 @@ Rational = Union[int, str, Fraction]
 
 MAX_RANK = 100  # groups read from JSON; the zero alone holds rank coordinates
 
+# A number written out as text is refused before it is converted when it
+# has more than MAX_DIGITS digits or a decimal exponent beyond MAX_EXPONENT:
+# Fraction expands "1e100000" into an integer of 100,001 digits, and int()
+# raises ValueError on strings of more than 4,300 digits.
+MAX_DIGITS = 250
+MAX_EXPONENT = 250
+
+
+def _shown(text: str) -> str:
+    return repr(text if len(text) <= 20 else text[:20] + "...")
+
+
+def bounded_fraction(text: str) -> Fraction:
+    """``Fraction(text)`` for a number read from outside, within the bounds.
+
+    Raises DomainError past MAX_DIGITS or MAX_EXPONENT, and whatever
+    ``Fraction`` raises for text that is not a number.
+    """
+    digits = sum(ch.isdigit() for ch in text)
+    if digits > MAX_DIGITS:
+        raise DomainError(f"{digits} digits in {_shown(text)} exceed the digit bound {MAX_DIGITS}")
+    _, marker, exponent = text.lower().partition("e")
+    try:
+        scale = int(exponent) if marker else 0
+    except ValueError:
+        scale = 0  # not an exponent: Fraction refuses the text
+    if abs(scale) > MAX_EXPONENT:
+        raise DomainError(f"exponent {scale} in {_shown(text)} exceeds the exponent "
+                          f"bound {MAX_EXPONENT}")
+    return Fraction(text)
+
 
 def _to_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return bounded_fraction(value)
     return Fraction(value)
 
 
@@ -274,7 +307,7 @@ class LambdaElement:
 
     @staticmethod
     def from_json(obj: Sequence, group: LambdaGroup) -> "LambdaElement":
-        return group.element(*[Fraction(str(c)) for c in obj])
+        return group.element(*[bounded_fraction(str(c)) for c in obj])
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError, FieldMismatch, NotInValuationRing
-from .ordered import LambdaElement, LambdaGroup
+from .ordered import MAX_DIGITS, LambdaElement, LambdaGroup, bounded_fraction
 
 
 class _Infinity:
@@ -354,17 +354,6 @@ def _as_rf(value) -> Optional[RationalFunction]:
 # computed, so ((1+t)^100)^100 costs nothing; a constant counts as degree 1.
 MAX_NESTING = 100
 MAX_DEGREE = 100
-
-# A number written out in an entry is refused before it is converted when it
-# has more than MAX_DIGITS digits or a decimal exponent beyond MAX_EXPONENT:
-# Fraction expands "1e100000" into an integer of 100,001 digits, and int()
-# raises ValueError on strings of more than 4,300 digits.
-MAX_DIGITS = 250
-MAX_EXPONENT = 250
-
-
-def _shown(text: str) -> str:
-    return repr(text if len(text) <= 20 else text[:20] + "...")
 
 
 class _ExpressionParser:
@@ -726,19 +715,8 @@ class ValuedField:
 
 
 def _rational(text: str) -> Fraction:
-    digits = sum(ch.isdigit() for ch in text)
-    if digits > MAX_DIGITS:
-        raise DomainError(f"{digits} digits in {_shown(text)} exceed the digit bound {MAX_DIGITS}")
-    _, marker, exponent = text.lower().partition("e")
     try:
-        scale = int(exponent) if marker else 0
-    except ValueError:
-        scale = 0  # not an exponent: Fraction refuses the text below
-    if abs(scale) > MAX_EXPONENT:
-        raise DomainError(f"exponent {scale} in {_shown(text)} exceeds the exponent "
-                          f"bound {MAX_EXPONENT}")
-    try:
-        return Fraction(text.strip())
+        return bounded_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}") from exc
 

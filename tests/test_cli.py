@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -597,6 +598,27 @@ HOSTILE_TASKS = {
         json.dumps({"command": "sl2-act", "payload": {
             "field": {"field": "Q(t)", "at": "0"}, "matrix": ["1", "9" * 5000 + "*t", "0", "1"]}}),
         2, "DomainError", "5000 digits at position 0 exceed the digit bound 250"),
+    "edge-length-exponent-too-large": (
+        json.dumps({"command": "tree-distance", "payload": {"tree": {
+            "group": {"rank": 1}, "vertices": ["u", "v"],
+            "edges": [{"a": "u", "b": "v", "len": ["1e2000000"]}]}, "p": "u", "q": "v"}}),
+        2, "DomainError", "exponent 2000000 in '1e2000000' exceeds the exponent bound 250"),
+    "edge-length-float-too-large": (
+        json.dumps({"command": "tree-distance", "payload": {"tree": {
+            "group": {"rank": 1}, "vertices": ["u", "v"],
+            "edges": [{"a": "u", "b": "v", "len": [1e308]}]}, "p": "u", "q": "v"}}),
+        2, "DomainError", "exponent 308 in '1e+308' exceeds the exponent bound 250"),
+    "parameter-exponent-too-large": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+            "parameters": ["5", "1e2000000"], "classes": ["a", "a a"]}}),
+        2, "DomainError", "exponent 2000000 in '1e2000000' exceeds the exponent bound 250"),
+    "limit-coordinate-too-long": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+            "parameters": ["5", "50"], "classes": ["a", "a a"],
+            "limit": {"classes": ["a", "a a"], "coords": ["1" * 300, "1"]}}}),
+        2, "DomainError", "300 digits in '11111111111111111111...' exceed the digit bound 250"),
     "duplicate-vertex-ids": (
         json.dumps({"command": "tree-distance", "payload": {"tree": {
             "group": {"rank": 1}, "vertices": ["a", "a", "b"],
@@ -622,6 +644,81 @@ def test_hostile_field_ends_in_a_structured_error(tmp_path, case):
         assert proc.stderr.strip() == want_message
     else:
         assert json.loads(proc.stdout) == {"error": want_error, "message": want_message}
+
+
+# task files that json.load refuses with something other than a
+# JSONDecodeError; each ended in a traceback before
+UNREADABLE_TASKS = {
+    "integer-literal-too-long": (
+        b'{"command": "schreier-rank", "payload": {"rank": ' + b"1" * 5000 + b"}}",
+        "integer string conversion"),
+    "nesting-too-deep": (b"[" * 200_000, "maximum recursion depth exceeded"),
+    "utf-16-byte-order-mark": (
+        b"\xff\xfe" + '{"command": "theta"}'.encode("utf-16-le"), "codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_TASKS))
+def test_unreadable_task_file_ends_in_one_message(tmp_path, case):
+    data, detail = UNREADABLE_TASKS[case]
+    task = tmp_path / "task.json"
+    task.write_bytes(data)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambdatrees", "--task", str(task)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("cannot read task file: ")
+    assert detail in proc.stderr and proc.stderr.count("\n") == 1
+
+
+# (payload, stdout exit code, error class); the stats document must not
+# change what the command writes
+STATS_CASES = {
+    "success": ({"command": "tree-distance",
+                 "payload": {"tree": LINE_TREE, "p": "u", "q": "w"}}, 0, None),
+    "payload-error": ({"command": "tree-distance", "payload": {"tree": LINE_TREE, "p": "u"}},
+                      1, "PayloadError"),
+    "domain-error": ({"command": "sl2-ball",
+                      "payload": {"field": {"field": "Q", "p": 17}, "radius": 1}},
+                     2, "DomainError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATS_CASES))
+def test_stats_document(tmp_path, capsys, case):
+    document, want_code, want_error = STATS_CASES[case]
+    task = write_task(tmp_path, "task.json", document)
+    plain = run_cli(["--task", task], capsys)
+    stats_path = tmp_path / "stats.json"
+    assert run_cli(["--task", task, "--stats", str(stats_path)], capsys) == plain
+    assert plain[0] == want_code
+    stats = json.loads(stats_path.read_text())
+    assert sorted(stats) == ["command", "compute_ms", "emit_ms", "error", "exit_code",
+                             "modules", "parse_ms", "peak_rss_kb", "task_bytes"]
+    assert stats["command"] == document["command"]
+    assert stats["exit_code"] == want_code and stats["error"] == want_error
+    for phase in ("parse_ms", "compute_ms", "emit_ms"):
+        assert stats[phase] >= 0.0
+    # in-process, modules other tests loaded are listed too
+    assert {"lambdatrees.cli", "lambdatrees.tree" if case != "domain-error"
+            else "lambdatrees.sl2"} <= set(stats["modules"])
+    assert stats["task_bytes"] == os.path.getsize(task)
+    assert stats["peak_rss_kb"] > 0
+
+
+def test_stats_of_a_task_file_that_cannot_be_read(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    stats_path = tmp_path / "stats.json"
+    code, out, err = run_cli(["--task", str(bad), "--stats", str(stats_path)], capsys)
+    assert code == 1 and out == "" and err.startswith("cannot read task file")
+    stats = json.loads(stats_path.read_text())
+    assert stats["command"] is None and stats["exit_code"] == 1
+    assert stats["error"] == "JSONDecodeError" and stats["task_bytes"] == 9
+    assert stats["parse_ms"] >= 0.0 and stats["compute_ms"] is None and stats["emit_ms"] is None
 
 
 def test_boolean_and_unparsable_fields_are_refused(tmp_path, capsys):

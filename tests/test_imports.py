@@ -1,13 +1,21 @@
-"""Every name a module of the package imports is used in that module.
+"""What the package's modules import.
 
-No linter ships with the project, so this scan stands in for one: it
-parses each source file, collects the names its import statements bind
-(``from __future__`` aside) and fails on any the module never reads,
-counting the names inside quoted annotations as read.
+Every name a module imports is used in that module.  No linter ships with
+the project, so a scan stands in for one: it parses each source file,
+collects the names its import statements bind (``from __future__`` aside)
+and fails on any the module never reads, counting the names inside quoted
+annotations as read.
+
+The CLI loads only the layers a command runs: each check starts a fresh
+interpreter and reads ``sys.modules`` after the import or the command.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -54,3 +62,50 @@ def test_the_scan_sees_plain_and_quoted_uses():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [(2, "j"), (3, "List")]
+
+
+def modules_loaded(script):
+    """The package modules a fresh interpreter holds after running ``script``."""
+    probe = script + (
+        "\nimport sys\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'lambdatrees'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return {name.replace("lambdatrees.", "") for name in proc.stdout.split()}
+
+
+def test_importing_the_cli_loads_no_library_layer():
+    assert modules_loaded("import lambdatrees.cli") == {"lambdatrees", "cli", "errors"}
+
+
+LINE_TREE = {
+    "group": {"rank": 1},
+    "vertices": ["u", "v"],
+    "edges": [{"a": "u", "b": "v", "len": ["1"]}],
+}
+
+# command, payload, a module it must load, the modules it must not load
+FAMILIES = {
+    "tree-distance": (
+        {"tree": LINE_TREE, "p": "u", "q": "v"},
+        "tree", {"valuation", "sl2", "isometry", "lengths", "graph_of_groups"}),
+    "sl2-act": (
+        {"field": {"field": "Q", "p": 2}, "matrix": ["2", "0", "0", "1/2"]},
+        "sl2", {"tree", "isometry", "lengths", "graph_of_groups"}),
+    "schreier-rank": (
+        {"rank": 2, "action": {"degree": 2, "perms": {"a": [2, 1], "b": [1, 2]}}},
+        "graph_of_groups", {"ordered", "tree", "valuation", "sl2", "lengths"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAMILIES))
+def test_a_command_loads_only_its_own_layers(tmp_path, command):
+    payload, needed, foreign = FAMILIES[command]
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"command": command, "payload": payload}))
+    argv = ["--task", str(task), "--out", str(tmp_path / "result.json")]
+    loaded = modules_loaded(f"from lambdatrees import cli\nassert cli.main({argv!r}) == 0")
+    assert needed in loaded
+    assert loaded & foreign == set()

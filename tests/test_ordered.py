@@ -6,6 +6,8 @@ import pytest
 
 from lambdatrees.errors import DomainError, GroupMismatch, UndefinedRatio
 from lambdatrees.ordered import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
     ConvexSubgroup,
     LambdaElement,
     LambdaGroup,
@@ -198,3 +200,20 @@ def test_json_round_trip():
     back = LambdaElement.from_json(x.to_json(), D2)
     assert back == x
     assert x.to_json() == ["3/2", "-1"]
+
+
+def test_numbers_read_as_text_are_bounded():
+    widest = "7" * MAX_DIGITS
+    assert Z1.element(widest).coords == (int(widest),)
+    assert LambdaElement.from_json([f"1e{MAX_EXPONENT}"], Z1).coords == (10**MAX_EXPONENT,)
+    with pytest.raises(DomainError, match=f"^{MAX_DIGITS + 1} digits in '7{{20}}...' exceed "
+                                          f"the digit bound {MAX_DIGITS}$"):
+        Z1.element("7" + widest)
+    with pytest.raises(DomainError, match="^exponent 308 in '1e\\+308' exceeds the exponent "
+                                          f"bound {MAX_EXPONENT}$"):
+        LambdaElement.from_json([1e308], Z1)
+    # values that are not text are not bounded, and unparsable text still
+    # raises what Fraction raises
+    assert Z1.element(10**(MAX_DIGITS + 1)).coords == (10**(MAX_DIGITS + 1),)
+    with pytest.raises(ValueError):
+        LambdaElement.from_json(["one"], Z1)

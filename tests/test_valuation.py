@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 
 from lambdatrees.errors import DomainError, NotInValuationRing
-from lambdatrees.ordered import LambdaGroup
+from lambdatrees.ordered import MAX_DIGITS, MAX_EXPONENT, LambdaGroup
 from lambdatrees.valuation import (
     INFINITY,
     MAX_DEGREE,
-    MAX_DIGITS,
-    MAX_EXPONENT,
     MAX_NESTING,
     Polynomial,
     RationalFunction,
