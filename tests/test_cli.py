@@ -674,22 +674,22 @@ def test_unreadable_task_file_ends_in_one_message(tmp_path, case):
     assert detail in proc.stderr and proc.stderr.count("\n") == 1
 
 
-# (payload, stdout exit code, error class); the stats document must not
-# change what the command writes
+# (task, exit code, error class, a module the command loads); the stats
+# document must not change what the command writes
 STATS_CASES = {
     "success": ({"command": "tree-distance",
-                 "payload": {"tree": LINE_TREE, "p": "u", "q": "w"}}, 0, None),
+                 "payload": {"tree": LINE_TREE, "p": "u", "q": "w"}}, 0, None, "tree"),
     "payload-error": ({"command": "tree-distance", "payload": {"tree": LINE_TREE, "p": "u"}},
-                      1, "PayloadError"),
+                      1, "PayloadError", "tree"),
     "domain-error": ({"command": "sl2-ball",
                       "payload": {"field": {"field": "Q", "p": 17}, "radius": 1}},
-                     2, "DomainError"),
+                     2, "DomainError", "sl2"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STATS_CASES))
 def test_stats_document(tmp_path, capsys, case):
-    document, want_code, want_error = STATS_CASES[case]
+    document, want_code, want_error, module = STATS_CASES[case]
     task = write_task(tmp_path, "task.json", document)
     plain = run_cli(["--task", task], capsys)
     stats_path = tmp_path / "stats.json"
@@ -703,8 +703,7 @@ def test_stats_document(tmp_path, capsys, case):
     for phase in ("parse_ms", "compute_ms", "emit_ms"):
         assert stats[phase] >= 0.0
     # in-process, modules other tests loaded are listed too
-    assert {"lambdatrees.cli", "lambdatrees.tree" if case != "domain-error"
-            else "lambdatrees.sl2"} <= set(stats["modules"])
+    assert {"lambdatrees.cli", f"lambdatrees.{module}"} <= set(stats["modules"])
     assert stats["task_bytes"] == os.path.getsize(task)
     assert stats["peak_rss_kb"] > 0
 
