@@ -22,7 +22,7 @@ import json
 import sys
 from typing import Optional
 
-from .errors import LambdaTreeError
+from .errors import DomainError, LambdaTreeError
 
 
 MAX_SAMPLES = 10_000  # check-axioms samples; each costs a few segments and medians
@@ -30,6 +30,18 @@ MAX_SAMPLES = 10_000  # check-axioms samples; each costs a few segments and medi
 
 class PayloadError(Exception):
     """The payload does not match the command's schema."""
+
+
+class WriteError(Exception):
+    """An output file could not be written; the message names which."""
+
+
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise WriteError(f"cannot write {what}: {exc}") from None
 
 
 def _need(payload: dict, key: str):
@@ -60,13 +72,23 @@ def _field(obj):
 
 
 def _point_from_json(obj):
+    from math import isfinite
+
     from .lengths import ProjectivePoint, canonical_class
     from .ordered import bounded_fraction
 
     classes = [canonical_class(c) for c in _need(obj, "classes")]
-    exact = bool(obj.get("exact", True))
+    exact = obj.get("exact", True)
+    if not isinstance(exact, bool):
+        raise DomainError(f'limit "exact" must be true or false, not {exact!r}')
     raw = _need(obj, "coords")
-    coords = [bounded_fraction(str(c)) for c in raw] if exact else [float(c) for c in raw]
+    if exact:
+        coords = [bounded_fraction(str(c)) for c in raw]
+    else:
+        coords = [float(c) for c in raw]
+        for i, c in enumerate(coords):
+            if not isfinite(c):
+                raise DomainError(f'limit "coords": entry [{i}] is {c}, not finite')
     return ProjectivePoint.make(classes, coords, exact)
 
 
@@ -279,8 +301,7 @@ def _run_converge_check(payload, args):
     )
     csv_path = payload.get("csv")
     if csv_path and report["distance"]:
-        with open(csv_path, "w") as handle:
-            handle.write(converge_csv(report))
+        _write(csv_path, converge_csv(report), "CSV file")
     return report, None
 
 
@@ -307,11 +328,10 @@ SEED_COMMANDS = {"check-axioms"}
 DOT_COMMANDS = {"sl2-ball", "schreier-rank"}
 
 
-def _emit(document: dict, out: Optional[str]) -> None:
+def _emit(document: dict, out: Optional[str], what: str = "output file") -> None:
     text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        _write(out, text, what)
     else:
         sys.stdout.write(text)
 
@@ -343,7 +363,12 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
 
     outcome = {"command": None, "error": None}
-    code = _run(args, outcome, mark)
+    try:
+        code = _run(args, outcome, mark)
+    except WriteError as exc:
+        outcome["error"] = type(exc).__name__
+        print(exc, file=sys.stderr)
+        code = 1
     mark()
     if args.stats:
         return _write_stats(args, code, outcome, clock)
@@ -413,8 +438,7 @@ def _run(args, outcome: dict, mark) -> int:
     mark()
 
     if args.dot and dot is not None:
-        with open(args.dot, "w") as handle:
-            handle.write(dot)
+        _write(args.dot, dot, "DOT file")
     _emit(result, args.out)
     return 0
 
@@ -442,9 +466,9 @@ def _write_stats(args, code: int, outcome: dict, clock: list) -> int:
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
     try:
-        _emit(stats, args.stats)
-    except OSError as exc:
-        print(f"cannot write stats file: {exc}", file=sys.stderr)
+        _emit(stats, args.stats, "stats file")
+    except WriteError as exc:
+        print(exc, file=sys.stderr)
         return 1
     return code
 

@@ -3,7 +3,9 @@ rational function field in one variable with valuations at a point or
 at infinity.
 
 Field elements are Fractions (over Q) or RationalFunction values (over
-Q(t)); both are immutable and support exact arithmetic.  Valuations
+Q(t)); both are immutable and support exact arithmetic.  A Polynomial
+keeps integer coefficients over one denominator, so division and gcds
+run over Z (pseudo-division, primitive remainder sequences).  Valuations
 return rank-1 LambdaElements, with a shared INFINITY sentinel for the
 value at zero.
 """
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import DomainError, FieldMismatch, NotInValuationRing
@@ -72,17 +76,18 @@ def is_infinite(value) -> bool:
 class Polynomial:
     """Polynomial in one variable with exact rational coefficients.
 
-    Coefficients are stored ascending with no trailing zeros; the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Stored as integer numerators over one positive common denominator, in
+    lowest terms: ``_num`` ascending with no trailing zeros (empty for the
+    zero polynomial, of degree -1), and ``_den`` coprime to their gcd.
+    ``coeffs`` gives the Fraction coefficients.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        _store(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -96,34 +101,39 @@ class Polynomial:
         return Polynomial([0, 1])
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self._den) for c in self._num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def leading(self) -> Fraction:
         if self.is_zero():
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
+        g = gcd(self._den, other._den)
+        ma, mb = other._den // g, self._den // g
+        out = [x * ma + y * mb for x, y in zip_longest(self._num, other._num, fillvalue=0)]
+        return _poly(out, self._den * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _poly([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -133,15 +143,12 @@ class Polynomial:
 
     def __mul__(self, other):
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        out = [0] * (len(self._num) + len(other._num) - 1)
+        for i, a in enumerate(self._num):
+            if a:
+                for j, b in enumerate(other._num):
+                    out[i + j] += a * b
+        return _poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -158,64 +165,96 @@ class Polynomial:
         return result
 
     def divmod(self, other: "Polynomial"):
+        """(q, r) with self = q*other + r and deg r < deg other, by integer
+        pseudo-division of the numerators."""
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        q = Polynomial([])
-        r = self
-        d = other.degree
-        lead = other.leading()
-        while not r.is_zero() and r.degree >= d:
-            shift = r.degree - d
-            coef = r.leading() / lead
-            term = Polynomial([Fraction(0)] * shift + [coef])
-            q = q + term
-            r = r - term * other
-        return q, r
-
-    def monic(self) -> "Polynomial":
-        lead = self.leading()
-        return self if lead == 1 else self * (1 / lead)
+        q, r, s = _pseudo_divmod(self._num, other._num)
+        den = s * self._den
+        return _poly([c * other._den for c in q], den), _poly(r, den)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """The monic gcd.  Each remainder is made monic, which keeps the
-        coefficients of Euclid's remainder sequence small."""
-        a, b = self, other
-        while not b.is_zero():
-            b = b.monic()
-            a, b = b, a.divmod(b)[1]
-        return a if a.is_zero() else a.monic()
+        """The monic gcd, from the primitive remainder sequence over Z
+        (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder is divided by
+        the gcd of its coefficients, so none grows past what it needs."""
+        a, b = _primitive(self._num), _primitive(other._num)
+        while len(b) > 1:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        if b:  # a nonzero constant: the gcd is 1
+            a = b
+        return _poly(list(a), a[-1] if a else 1)
 
     def evaluate(self, point: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        p, q = point.numerator, point.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._num):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc * q, scale * self._den)
 
     def __str__(self):
-        if self.is_zero():
+        terms = []
+        for i, c in reversed(list(enumerate(self.coeffs))):
+            if c:
+                mag, power = abs(c), "" if i == 0 else "t" if i == 1 else f"t^{i}"
+                body = str(mag) if not power else power if mag == 1 else f"{mag}*{power}"
+                terms.append(("-" if c < 0 else "+", body))
+        if not terms:
             return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = "t" if mag == 1 else f"{mag}*t"
-            else:
-                body = f"t^{i}" if mag == 1 else f"{mag}*t^{i}"
-            parts.append((sign, body))
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+        return text + "".join(f" {sign} {body}" for sign, body in terms[1:])
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _store(poly: Polynomial, num: list, den: int) -> Polynomial:
+    """Set poly to num/den (ascending integers, den != 0) in lowest terms."""
+    while num and not num[-1]:
+        num.pop()
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    object.__setattr__(poly, "_num", tuple(num))
+    object.__setattr__(poly, "_den", den)
+    return poly
+
+
+def _poly(num: list, den: int) -> Polynomial:
+    return _store(object.__new__(Polynomial), num, den)
+
+
+def _primitive(num) -> tuple:
+    g = gcd(*num)
+    return tuple(c // g for c in num) if g > 1 else tuple(num)
+
+
+def _pseudo_divmod(u, v):
+    """(q, r, s) with s*u = q*v + r and deg r < deg v, for integer
+    coefficient sequences.  s is a power of v's leading coefficient, raised
+    only at the steps where that coefficient does not divide the remainder's
+    leading one; so s = 1 when v divides u in Z[t]."""
+    n, lead = len(v) - 1, v[-1]
+    r = list(u)
+    q = [0] * max(len(u) - n, 0)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        c = r[n + k]
+        if c % lead:
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+            s *= lead
+        else:
+            c //= lead
+        q[k] = c
+        if c:
+            for j in range(n + 1):
+                r[j + k] -= c * v[j]
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
 
 
 def _as_poly(value) -> Polynomial:
@@ -243,11 +282,10 @@ class RationalFunction:
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            lead = den.leading()
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            lead = den._num[-1]
+            if lead != den._den:  # divide both by den's leading coefficient
+                num = _poly([c * den._den for c in num._num], num._den * lead)
+                den = _poly(list(den._num), lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

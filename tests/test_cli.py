@@ -537,6 +537,16 @@ def test_rational_function_powers_parse_in_bounded_time(tmp_path):
     assert doc["message"] == "every trace has nonnegative valuation"
 
 
+def test_rational_function_powers_of_fifty_stay_within_five_seconds(tmp_path):
+    # Euclid's gcd on Fraction coefficients took 7.6-9.1 s on a 2-vCPU VM,
+    # and the primitive remainder sequence over Z 2-3 s
+    code, out, seconds = run_module(mu_task(tmp_path, "((1+t)/(2+t))^50 * ((3+t)/(5+t))^50"))
+    assert code == 2 and seconds < 5.0
+    doc = json.loads(out)
+    assert doc["error"] == "NotSupportedAtInfinity"
+    assert doc["message"] == "every trace has nonnegative valuation"
+
+
 def test_oversized_lattice_ball_is_refused_before_enumeration(tmp_path):
     task = write_task(tmp_path, "ball.json", {
         "command": "sl2-ball",
@@ -619,6 +629,24 @@ HOSTILE_TASKS = {
             "parameters": ["5", "50"], "classes": ["a", "a a"],
             "limit": {"classes": ["a", "a a"], "coords": ["1" * 300, "1"]}}}),
         2, "DomainError", "300 digits in '11111111111111111111...' exceed the digit bound 250"),
+    "limit-coordinate-nan": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+            "parameters": ["5", "50"], "classes": ["a", "a a"],
+            "limit": {"classes": ["a", "a a"], "coords": [1.0, "nan"], "exact": False}}}),
+        2, "DomainError", 'limit "coords": entry [1] is nan, not finite'),
+    "limit-coordinate-infinite": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+            "parameters": ["5", "50"], "classes": ["a", "a a"],
+            "limit": {"classes": ["a", "a a"], "coords": [float("inf"), 1.0], "exact": False}}}),
+        2, "DomainError", 'limit "coords": entry [0] is inf, not finite'),
+    "limit-exact-not-boolean": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+            "parameters": ["5", "50"], "classes": ["a", "a a"],
+            "limit": {"classes": ["a", "a a"], "coords": ["1/2", "1"], "exact": "no"}}}),
+        2, "DomainError", "limit \"exact\" must be true or false, not 'no'"),
     "duplicate-vertex-ids": (
         json.dumps({"command": "tree-distance", "payload": {"tree": {
             "group": {"rank": 1}, "vertices": ["a", "a", "b"],
@@ -738,3 +766,31 @@ def test_boolean_and_unparsable_fields_are_refused(tmp_path, capsys):
         code, out, err = run_cli(["--task", write_task(tmp_path, "t.json", document)], capsys)
         assert code == want_code, document
         assert (err if code == 1 else json.loads(out)["message"]) == want
+
+
+# (task, extra arguments, what the message names); each write ended in a
+# FileNotFoundError traceback before
+UNWRITABLE_OUTPUTS = {
+    "out": ({"command": "theta",
+             "payload": {"matrices": {"a": [[100.0, 0.0], [0.0, 0.01]]}, "classes": ["a"]}},
+            ["--out", "{missing}/result.json"], "output file"),
+    "dot": ({"command": "sl2-ball", "payload": {"field": Q2, "radius": 1}},
+            ["--dot", "{missing}/ball.dot"], "DOT file"),
+    "csv": ({"command": "converge-check",
+             "payload": {"field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+                         "parameters": [10, 100], "classes": ["a", "a a"],
+                         "csv": "{missing}/conv.csv"}},
+            [], "CSV file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_ends_in_one_message(tmp_path, capsys, case):
+    document, extra, what = UNWRITABLE_OUTPUTS[case]
+    missing = str(tmp_path / "missing")
+    task = write_task(tmp_path, "task.json",
+                      json.loads(json.dumps(document).replace("{missing}", missing)))
+    code, out, err = run_cli(["--task", task] + [a.format(missing=missing) for a in extra], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"cannot write {what}: [Errno 2] No such file or directory: ")
+    assert missing in err and err.count("\n") == 1
