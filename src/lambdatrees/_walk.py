@@ -18,3 +18,17 @@ def _breadth_first(start, step) -> dict:
                 reached[w] = (u, label)
                 queue.append(w)
     return reached
+
+
+def _components(nodes, step) -> list:
+    """The components of the graph on nodes that step spans, as lists in walk order.
+
+    Each component starts from its first node in the order of nodes.
+    """
+    comps = []
+    seen = set()
+    for start in nodes:
+        if start not in seen:
+            comps.append(list(_breadth_first(start, step)))
+            seen.update(comps[-1])
+    return comps

@@ -50,6 +50,13 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _need_map(payload: dict, key: str, what: str) -> dict:
+    value = _need(payload, key)
+    if not isinstance(value, dict):
+        raise PayloadError(f"{key} must map generator symbols to {what}")
+    return value
+
+
 def _need_int(payload: dict, key: str) -> int:
     value = _need(payload, key)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -238,13 +245,13 @@ def _length_action(spec) -> dict:
         tree = LambdaTree.from_json(_need(spec, "tree"))
         return {
             str(sym): TreeIsometry.from_json(tree, iso)
-            for sym, iso in _need(spec, "isometries").items()
+            for sym, iso in _need_map(spec, "isometries", "isometries").items()
         }
     if kind == "matrix":
         field = _field(_need(spec, "field"))
         return {
             str(sym): Mat2.from_json(field, entries)
-            for sym, entries in _need(spec, "matrices").items()
+            for sym, entries in _need_map(spec, "matrices", "2x2 arrays").items()
         }
     raise PayloadError("action type must be cayley, tree, or matrix")
 
@@ -259,10 +266,7 @@ def _run_length_function(payload, args):
 def _run_theta(payload, args):
     from .lengths import theta
 
-    matrices = _need(payload, "matrices")
-    if not isinstance(matrices, dict):
-        raise PayloadError("matrices must map generator symbols to 2x2 arrays")
-    point = theta(matrices, _need(payload, "classes"))
+    point = theta(_need_map(payload, "matrices", "2x2 arrays"), _need(payload, "classes"))
     return point.to_json(), None
 
 
@@ -273,7 +277,7 @@ def _run_mu(payload, args):
     field = _field(_need(payload, "field"))
     matrices = {
         str(sym): Mat2.from_json(field, entries)
-        for sym, entries in _need(payload, "matrices").items()
+        for sym, entries in _need_map(payload, "matrices", "2x2 arrays").items()
     }
     point, raw = mu(matrices, _need(payload, "classes"))
     return {"point": point.to_json(), "raw": raw.to_json()}, None
@@ -286,11 +290,14 @@ def _run_converge_check(payload, args):
     field = _field(_need(payload, "field"))
     family = {
         str(sym): Mat2.from_json(field, entries)
-        for sym, entries in _need(payload, "family").items()
+        for sym, entries in _need_map(payload, "family", "2x2 arrays").items()
     }
     limit = None
     if payload.get("limit") is not None:
         limit = _point_from_json(payload["limit"])
+    csv_path = payload.get("csv")
+    if csv_path is not None and not isinstance(csv_path, str):
+        raise PayloadError("csv must be a file path string")
     tolerance = args.tolerance if args.tolerance is not None else 1e-6
     report = converge_check(
         family,
@@ -299,7 +306,6 @@ def _run_converge_check(payload, args):
         tolerance=tolerance,
         limit=limit,
     )
-    csv_path = payload.get("csv")
     if csv_path and report["distance"]:
         _write(csv_path, converge_csv(report), "CSV file")
     return report, None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._walk import _breadth_first
+from ._walk import _breadth_first, _components
 from .errors import (
     DomainError,
     InvalidEdge,
@@ -65,9 +65,6 @@ class Presentation:
     @staticmethod
     def trivial() -> "Presentation":
         return Presentation.make(())
-
-    def is_free(self) -> bool:
-        return not self.relators
 
     def to_json(self) -> dict:
         return {
@@ -205,45 +202,18 @@ def spanning_tree_edges(gog: GraphOfGroups) -> List[str]:
     return [eid for _, eid in list(reached.values())[1:]]
 
 
-def _union(parent: Dict[str, str], a: str, b: str) -> bool:
-    """Join the classes of a and b in a union-find forest; False if already joined."""
-    roots = []
-    for v in (a, b):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        roots.append(v)
-    if roots[0] == roots[1]:
-        return False
-    parent[roots[0]] = roots[1]
-    return True
-
-
-def random_spanning_tree(gog: GraphOfGroups, rng) -> List[str]:
-    """A uniform-ish spanning tree from a shuffled edge scan."""
-    order = list(gog.edges)
-    rng.shuffle(order)
-    parent = {v: v for v in gog.vertex_groups}
-    tree = [e.id for e in order if _union(parent, e.tail, e.head)]
-    if len(tree) != len(gog.vertex_groups) - 1:
-        raise NotConnected("graph is not connected")
-    return tree
-
-
 def _check_spanning_tree(gog: GraphOfGroups, tree: Sequence[str]) -> None:
     ids = {e.id for e in gog.edges}
     for eid in tree:
         if eid not in ids:
             raise InvalidEdge(f"no edge {eid!r}")
-    parent = {v: v for v in gog.vertex_groups}
-    count = 0
     chosen = set(tree)
-    for e in gog.edges:
-        if e.id in chosen:
-            if not _union(parent, e.tail, e.head):
-                raise DomainError("chosen edges contain a cycle")
-            count += 1
-    if count != len(gog.vertex_groups) - 1:
+    adj = _adjacency(gog)
+    comps = _components(gog.vertex_groups, lambda u: ((e, w) for e, w in adj[u] if e in chosen))
+    # edges leaving c components on n vertices number at least n - c, exactly n - c in a forest
+    if len(chosen) > len(gog.vertex_groups) - len(comps):
+        raise DomainError("chosen edges contain a cycle")
+    if len(comps) > 1:
         raise DomainError("chosen edges do not span the graph")
 
 
@@ -306,17 +276,7 @@ def fundamental_group_presentation(
 
 def _components_without(gog: GraphOfGroups, edge_id: str) -> List[List[str]]:
     adj = _adjacency(gog)
-
-    def step(u: str):
-        return ((eid, w) for eid, w in adj[u] if eid != edge_id)
-
-    comps: List[List[str]] = []
-    seen = set()
-    for start in gog.vertex_groups:
-        if start not in seen:
-            comps.append(list(_breadth_first(start, step)))
-            seen.update(comps[-1])
-    return comps
+    return _components(gog.vertex_groups, lambda u: ((e, w) for e, w in adj[u] if e != edge_id))
 
 
 def _restrict(gog: GraphOfGroups, vertices: Sequence[str]) -> GraphOfGroups:
@@ -464,19 +424,6 @@ class CosetAction:
                 raise DomainError(f"images of {sym!r} are not a permutation of 1..{degree}")
             norm[sym] = images
         return CosetAction(degree, norm, len(_breadth_first(1, _letters(norm))) == degree)
-
-    def apply_letter(self, sym: str, sign: int, coset: int) -> int:
-        if sym not in self.perms:
-            raise SymbolError(f"unknown generator {sym!r}")
-        images = self.perms[sym]
-        if sign > 0:
-            return images[coset - 1]
-        return images.index(coset) + 1
-
-    def apply_word(self, word: Word, coset: int) -> int:
-        for sym, sign in word:
-            coset = self.apply_letter(sym, sign, coset)
-        return coset
 
     def to_json(self) -> dict:
         return {

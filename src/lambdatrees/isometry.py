@@ -285,9 +285,6 @@ class TreeIsometry:
         edge = self.tree.edges[p.edge]
         return edge.a in members and edge.b in members
 
-    def hull_vertices(self) -> set:
-        return set(self._hull()[0])
-
     def hull_edges(self) -> List[str]:
         members, _ = self._hull()
         return [
@@ -386,11 +383,6 @@ class TreeIsometry:
         if not images:
             raise OrbitEscapesTree("inverse has empty domain")
         return images
-
-    def is_identity(self) -> bool:
-        return all(
-            img.is_vertex() and img.vertex == v for v, img in self.vertex_images.items()
-        )
 
     def __eq__(self, other):
         return (

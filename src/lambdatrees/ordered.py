@@ -23,7 +23,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, neg, sub
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DomainError, EmbeddingError, GroupMismatch, UndefinedRatio
 
@@ -100,19 +100,12 @@ class LambdaGroup:
     def zero(self) -> "LambdaElement":
         return self._zero
 
-    def dyadic_extension(self) -> "LambdaGroup":
-        return self._dyadic_extension
-
     # cached_property writes the instance __dict__ directly, so it works on
     # a frozen dataclass; one shared object per group lets the same-group
     # check succeed on identity.
     @cached_property
     def _zero(self) -> "LambdaElement":
         return LambdaElement((0,) * self.rank, self, 0)
-
-    @cached_property
-    def _dyadic_extension(self) -> "LambdaGroup":
-        return self if self.dyadic else LambdaGroup(self.rank, True)
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "dyadic": self.dyadic}
@@ -320,57 +313,6 @@ _set_exp = LambdaElement._exp.__set__
 _set_group = LambdaElement.group.__set__
 
 
-def compare(x: LambdaElement, y: LambdaElement) -> int:
-    """Lexicographic trichotomy: -1, 0 or 1."""
-    x._require_same_group(y)
-    a, b, _ = _aligned(x, y)
-    if a < b:
-        return -1
-    if a == b:
-        return 0
-    return 1
-
-
-def group_rank(group: LambdaGroup, generators: Iterable[LambdaElement] | None = None) -> int:
-    """Rank of the group, or of the subgroup spanned by ``generators``.
-
-    The rank counts proper steps in the maximal chain of convex subgroups.
-    For a subgroup of the lexicographic model it equals the number of
-    distinct leading coordinate positions in the subgroup, computed here
-    by exact row reduction (the integer span and the rational span have
-    the same leading positions).
-    """
-    if generators is None:
-        return group.rank
-    rows = []
-    for g in generators:
-        if g.group is not group and g.group != group:
-            raise GroupMismatch("generator outside the ambient group")
-        # scaling a row by 2**_exp keeps its leading position
-        rows.append([Fraction(c) for c in g._num])
-    pivots = set()
-    col = 0
-    r = 0
-    while r < len(rows) and col < group.rank:
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivots.add(col)
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / rows[r][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-    return len(pivots)
-
-
 @dataclass(frozen=True)
 class ConvexSubgroup:
     """The convex subgroup of elements whose first ``depth`` coordinates vanish.
@@ -394,16 +336,6 @@ class ConvexSubgroup:
 
     def quotient_group(self) -> LambdaGroup:
         return LambdaGroup(max(self.depth, 1), self.group.dyadic)
-
-    def fiber_group(self) -> LambdaGroup:
-        """Group receiving the coordinates the quotient forgets."""
-        return LambdaGroup(max(self.group.rank - self.depth, 1), self.group.dyadic)
-
-    def fiber_part(self, x: LambdaElement) -> LambdaElement:
-        """Image of a subgroup member inside the fiber group."""
-        if not self.contains(x):
-            raise DomainError("element is not in the convex subgroup")
-        return _reduced(x._num[self.depth :] or (0,), x._exp, self.fiber_group())
 
 
 def convex_quotient(x: LambdaElement, subgroup: ConvexSubgroup) -> LambdaElement:
@@ -436,11 +368,6 @@ def embedding(source: LambdaGroup, target: LambdaGroup):
 def in_two_lambda(x: LambdaElement) -> bool:
     """Whether x is twice some element of its own group."""
     return x.group.dyadic or not any(c & 1 for c in x._num)
-
-
-def halve(x: LambdaElement) -> LambdaElement:
-    """x/2 inside the dyadic extension of the group."""
-    return _reduced(x._num, x._exp + 1, x.group.dyadic_extension())
 
 
 def half_in_group(x: LambdaElement) -> LambdaElement:

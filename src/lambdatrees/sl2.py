@@ -307,39 +307,3 @@ def find_fixed_vertex(g: Mat2, radius: Optional[int] = None) -> Optional[Lattice
         level = 2 * k + half
         mid = LatticeVertex(field, level, field.canonical_mod(gx.shift, level))
     return mid if act(g, mid) == mid else None
-
-
-def stabilizer_membership(g: Mat2, which: str) -> bool:
-    """Membership in the vertex stabilizer, edge stabilizer, or its twin.
-
-    sl2_O: all entries in the valuation ring (stabilizer of the base
-    vertex).  delta: additionally v(c) >= 1 (stabilizer of the edge to
-    the diag(1, pi) neighbor).  sl2_O_conjugate: conjugate of sl2_O by
-    diag(1, pi), the stabilizer of that neighbor itself.
-    """
-    _require_sl2(g)
-    field = g.field
-    va = field.valuation_int(g.a)
-    vb = field.valuation_int(g.b)
-    vc = field.valuation_int(g.c)
-    vd = field.valuation_int(g.d)
-    ring = va >= 0 and vb >= 0 and vc >= 0 and vd >= 0
-    if which == "sl2_O":
-        return ring
-    if which == "delta":
-        return ring and vc >= 1
-    if which == "sl2_O_conjugate":
-        return va >= 0 and vd >= 0 and vb >= -1 and vc >= 1
-    raise DomainError(f"unknown stabilizer {which!r}")
-
-
-def entry_valuation_displacement(g: Mat2) -> LambdaElement:
-    """Reference value: |smallest entry valuation|.
-
-    An alternative displacement convention; it differs from the
-    elementary-divisor metric by a factor of two on diagonal elements,
-    so it is exposed for comparison and never used internally.
-    """
-    _require_sl2(g)
-    vmin = min(g.field.valuation_int(entry) for entry in g.entries())  # finite: det is 1
-    return g.field.value_group.element(abs(vmin))

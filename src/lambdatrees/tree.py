@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ._walk import _breadth_first
+from ._walk import _breadth_first, _components
 from .errors import DomainError, GroupMismatch, InvalidEdge, InvalidPoint
 from .ordered import (
     ConvexSubgroup,
@@ -271,17 +271,6 @@ class LambdaTree:
         alpha = half_in_group(spread)
         return self.path_walk(p, q).point_at(alpha)
 
-    def classify_point(self, p: TreePoint) -> Tuple[str, int]:
-        p = self.validate_point(p)
-        if not p.is_vertex():
-            return ("regular", 2)
-        count = len(self.adjacency[p.vertex])
-        if count >= 3:
-            return ("branch", count)
-        if count == 2:
-            return ("regular", 2)
-        return ("dead_end", count)
-
     # -- structural transforms --------------------------------------------
 
     def base_change(self, target: LambdaGroup) -> "LambdaTree":
@@ -298,14 +287,9 @@ class LambdaTree:
             return ((eid, w) for eid, w in self.adjacency[v] if inside[eid])
 
         # each fiber is named by its least vertex
-        root: Dict[str, str] = {}
-        component: Dict[str, List[str]] = {}
-        for v in self.vertices:
-            if v not in root:
-                fiber = list(_breadth_first(v, step))
-                component[min(fiber)] = fiber
-                root.update(dict.fromkeys(fiber, min(fiber)))
-        vertex_map = {v: root[v] for v in self.vertices}
+        component = {min(fiber): fiber for fiber in _components(self.vertices, step)}
+        name = {v: least for least, fiber in component.items() for v in fiber}
+        vertex_map = {v: name[v] for v in self.vertices}
         new_edges = []
         new_ids = []
         fiber_edges: Dict[str, list] = {root: [] for root in component}
@@ -349,15 +333,6 @@ class LambdaTree:
             length = LambdaElement.from_json(rec["len"], group)
             edges.append((str(rec["a"]), str(rec["b"]), length))
         return LambdaTree(group, vertices, edges)
-
-    def to_dot(self) -> str:
-        lines = ["graph tree {"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for e in self._edge_list():
-            lines.append(f'  "{e.a}" -- "{e.b}" [label="{e.length}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
     def __str__(self):
         return f"LambdaTree({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -415,10 +390,6 @@ class Segment:
         self.q = walk.end
         self.walk = walk
         self.length = walk.length
-        self.vertex_path = walk.interior_vertices()
-
-    def is_nondegenerate(self) -> bool:
-        return self.length.is_positive()
 
     def point_at(self, s: LambdaElement) -> TreePoint:
         return self.walk.point_at(s)

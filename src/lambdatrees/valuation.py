@@ -554,21 +554,6 @@ def _int_valuation(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class ResidueField:
-    """Descriptor of the residue field: a prime field or the rationals."""
-
-    kind: str  # "prime_field" | "rationals"
-    p: Optional[int] = None
-
-    @property
-    def formally_real(self) -> bool:
-        return self.kind == "rationals"
-
-    def __str__(self):
-        return f"F_{self.p}" if self.kind == "prime_field" else "Q"
-
-
 FieldElement = Union[Fraction, RationalFunction]
 
 
@@ -645,11 +630,6 @@ class ValuedField:
         if self.kind == "at_point":
             return RationalFunction(Polynomial([-self.point, Fraction(1)]))
         return RationalFunction(Polynomial.constant(1), Polynomial.x())
-
-    def residue_field(self) -> ResidueField:
-        if self.kind == "p_adic":
-            return ResidueField("prime_field", self.p)
-        return ResidueField("rationals")
 
     def valuation(self, x) -> Union[LambdaElement, _Infinity]:
         v = self.valuation_int(x)
@@ -757,7 +737,3 @@ def _rational(text: str) -> Fraction:
         return bounded_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}") from exc
-
-
-def is_formally_real(field: ValuedField) -> bool:
-    return field.residue_field().formally_real

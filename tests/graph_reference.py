@@ -3,16 +3,25 @@
 Before every traversal went through one breadth-first helper, each chore
 had its own loop: a union-find that named each convex-quotient fiber by
 linking the higher root under the lower, a lazy depth-first rooting of
-``LambdaTree``, and four queue loops in ``graph_of_groups`` (the spanning
+``LambdaTree``, four queue loops in ``graph_of_groups`` (the spanning
 tree, the components left by cutting one edge, the transitivity test of
-a coset action and the Schreier generators).  They are reproduced here
-as they were, so nothing in this module calls the shared walk.
+a coset action and the Schreier generators), and a union-find that
+checked a chosen spanning tree edge by edge.  They are reproduced here
+as they were, so nothing in this module calls the shared walk.  The
+union-find also draws the shuffled spanning trees that some tests pass
+in.
 """
 
 from collections import deque
 from typing import Dict, List
 
-from lambdatrees.errors import DomainError, GroupMismatch, NotConnected, NotTransitive
+from lambdatrees.errors import (
+    DomainError,
+    GroupMismatch,
+    InvalidEdge,
+    NotConnected,
+    NotTransitive,
+)
 from lambdatrees.graph_of_groups import CosetAction, SchreierRecord, _adjacency
 from lambdatrees.ordered import convex_quotient
 from lambdatrees.tree import LambdaTree, QuotientResult
@@ -98,6 +107,49 @@ def spanning_tree_edges(gog):
         missing = sorted(set(gog.vertex_groups) - seen)
         raise NotConnected(f"vertices unreachable from {root!r}: {missing}")
     return tree
+
+
+def _union(parent, a, b) -> bool:
+    """Join the classes of a and b in a union-find forest; False if already joined."""
+    roots = []
+    for v in (a, b):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        roots.append(v)
+    if roots[0] == roots[1]:
+        return False
+    parent[roots[0]] = roots[1]
+    return True
+
+
+def random_spanning_tree(gog, rng):
+    """A spanning tree from a shuffled edge scan."""
+    order = list(gog.edges)
+    rng.shuffle(order)
+    parent = {v: v for v in gog.vertex_groups}
+    tree = [e.id for e in order if _union(parent, e.tail, e.head)]
+    if len(tree) != len(gog.vertex_groups) - 1:
+        raise NotConnected("graph is not connected")
+    return tree
+
+
+def check_spanning_tree(gog, tree):
+    """Refuse unknown ids, then join the chosen edges one by one."""
+    ids = {e.id for e in gog.edges}
+    for eid in tree:
+        if eid not in ids:
+            raise InvalidEdge(f"no edge {eid!r}")
+    parent = {v: v for v in gog.vertex_groups}
+    count = 0
+    chosen = set(tree)
+    for e in gog.edges:
+        if e.id in chosen:
+            if not _union(parent, e.tail, e.head):
+                raise DomainError("chosen edges contain a cycle")
+            count += 1
+    if count != len(gog.vertex_groups) - 1:
+        raise DomainError("chosen edges do not span the graph")
 
 
 def components_without(gog, edge_id):

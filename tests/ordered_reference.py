@@ -128,44 +128,8 @@ def compare(x, y) -> int:
     return 1
 
 
-def group_rank(group: LambdaGroup, generators) -> int:
-    rows = []
-    for g in generators:
-        if g.group != group:
-            raise GroupMismatch("generator outside the ambient group")
-        rows.append(list(g.coords))
-    pivots = set()
-    col = 0
-    r = 0
-    while r < len(rows) and col < group.rank:
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivots.add(col)
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / rows[r][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-    return len(pivots)
-
-
 def contains(group: LambdaGroup, depth: int, x) -> bool:
     return all(c == 0 for c in x.coords[:depth])
-
-
-def fiber_part(group: LambdaGroup, depth: int, x):
-    if not contains(group, depth, x):
-        raise DomainError("element is not in the convex subgroup")
-    coords = x.coords[depth:] or (Fraction(0),)
-    return ReferenceElement(tuple(coords), LambdaGroup(max(group.rank - depth, 1), group.dyadic))
 
 
 def convex_quotient(group: LambdaGroup, depth: int, x):
@@ -177,10 +141,6 @@ def convex_quotient(group: LambdaGroup, depth: int, x):
 
 def in_two_lambda(x) -> bool:
     return all(x.group.admits(c / 2) for c in x.coords)
-
-
-def halve(x):
-    return ReferenceElement(tuple(c / 2 for c in x.coords), LambdaGroup(x.group.rank, True))
 
 
 def half_in_group(x):

@@ -652,6 +652,32 @@ HOSTILE_TASKS = {
             "group": {"rank": 1}, "vertices": ["a", "a", "b"],
             "edges": [{"a": "a", "b": "b", "len": ["1"]}]}, "p": "a", "q": "b"}}),
         2, "DomainError", "duplicate vertex identifiers"),
+    "mu-matrices-not-a-map": (
+        json.dumps({"command": "mu", "payload": {
+            "field": QT_INF, "matrices": [["t", "0", "0", "1/t"]], "classes": ["a"]}}),
+        1, None, "bad payload for mu: matrices must map generator symbols to 2x2 arrays"),
+    "family-not-a-map": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": "a", "parameters": ["5", "50"], "classes": ["a"]}}),
+        1, None,
+        "bad payload for converge-check: family must map generator symbols to 2x2 arrays"),
+    "action-matrices-not-a-map": (
+        json.dumps({"command": "length-function", "payload": {
+            "action": {"type": "matrix", "field": Q2, "matrices": [["2", "0", "0", "1/2"]]},
+            "classes": ["a"]}}),
+        1, None,
+        "bad payload for length-function: matrices must map generator symbols to 2x2 arrays"),
+    "action-isometries-not-a-map": (
+        json.dumps({"command": "length-function", "payload": {
+            "action": {"type": "tree", "tree": LINE_TREE, "isometries": 7},
+            "classes": ["a"]}}),
+        1, None,
+        "bad payload for length-function: isometries must map generator symbols to isometries"),
+    "csv-not-a-path": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+            "parameters": [10, 100], "classes": ["a", "a a"], "csv": 2}}),
+        1, None, "bad payload for converge-check: csv must be a file path string"),
 }
 
 

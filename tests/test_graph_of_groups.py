@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from graph_reference import random_spanning_tree
 from lambdatrees.errors import (
     DomainError,
     InvalidEdge,
@@ -26,7 +27,6 @@ from lambdatrees.graph_of_groups import (
     Presentation,
     decompose_along_edge,
     fundamental_group_presentation,
-    random_spanning_tree,
     schreier_graph_dot,
     schreier_rank,
     spanning_tree_edges,
@@ -58,7 +58,7 @@ def test_presentation_construction_and_reduction():
     assert p.to_json() == {"gens": ["a", "b"], "rels": ["b"]}
     assert Presentation.from_json(p.to_json()) == p
     assert Presentation.trivial().generators == ()
-    assert Presentation.free("x", "y").is_free()
+    assert Presentation.free("x", "y").relators == ()
     with pytest.raises(SymbolError):
         Presentation.make(["a", "a"])
     with pytest.raises(SymbolError):
@@ -328,6 +328,15 @@ def test_schreier_errors():
         CosetAction.make(2, {"a": [1, 1]})
 
 
+def image_of_base_coset(action, word):
+    """Coset 1 moved letter by letter through the action's permutations."""
+    coset = 1
+    for sym, sign in word:
+        images = action.perms[sym]
+        coset = images[coset - 1] if sign > 0 else images.index(coset) + 1
+    return coset
+
+
 def test_schreier_formula_on_random_transitive_actions():
     rng = random.Random(41)
     for _ in range(20):
@@ -349,13 +358,13 @@ def test_schreier_formula_on_random_transitive_actions():
         assert record.rank == n * (r - 1) + 1
         for word in record.generators:
             assert word == free_reduce(word) and word
-            assert action.apply_word(word, 1) == 1
+            assert image_of_base_coset(action, word) == 1
 
 
 def test_schreier_words_fix_base_coset_in_frozen_examples():
     action = CosetAction.make(3, {"a": [2, 3, 1], "b": [1, 2, 3]})
     for text in ("b", "a b a-", "a a a", "a a b a- a-"):
-        assert action.apply_word(parse_word(text), 1) == 1
+        assert image_of_base_coset(action, parse_word(text)) == 1
 
 
 def test_coset_action_json_and_dot():

@@ -1,8 +1,9 @@
 """The shared breadth-first walk against the hand-written walks it replaced.
 
 ``graph_reference`` keeps the union-find that named quotient fibers, the
-lazy depth-first rooting of ``LambdaTree`` and the four queue loops of
-``graph_of_groups``.  On generated graphs of groups, coset actions and
+lazy depth-first rooting of ``LambdaTree``, the four queue loops of
+``graph_of_groups`` and the union-find that checked a chosen spanning
+tree.  On generated graphs of groups, chosen edge sets, coset actions and
 trees, every output that went through those loops must be the same,
 errors included (compared by class and message), and in the same order.
 A last property ties ``check_axioms`` to the constructor: a raw graph is
@@ -108,6 +109,18 @@ def test_spanning_trees_and_cuts_match_the_queue_loops(gog):
         lambda: ref.spanning_tree_edges(gog))
     for e in gog.edges:
         assert gg._components_without(gog, e.id) == ref.components_without(gog, e.id)
+
+
+@EXACT
+@given(graphs_of_groups(), st.data())
+def test_spanning_tree_check_matches_the_union_find(gog, data):
+    """Chosen ids may repeat, and now and then one names no edge."""
+    known = [e.id for e in gog.edges]
+    chosen = data.draw(st.lists(st.sampled_from(known), max_size=10)) if known else []
+    if data.draw(st.integers(0, 9)) == 0:
+        chosen.insert(data.draw(st.integers(0, len(chosen))), "nope")
+    assert outcome(lambda: gg._check_spanning_tree(gog, chosen)) == outcome(
+        lambda: ref.check_spanning_tree(gog, chosen))
 
 
 @EXACT

@@ -6,6 +6,10 @@ collects the names its import statements bind (``from __future__`` aside)
 and fails on any the module never reads, counting the names inside quoted
 annotations as read.
 
+Every function, class and method the package defines is loaded by the
+package, a demo, a benchmark workload or a test oracle (a
+``tests/*_reference.py`` module), so no API lives on for unit tests alone.
+
 The CLI loads only the layers a command runs: each check starts a fresh
 interpreter and reads ``sys.modules`` after the import or the command.
 """
@@ -19,7 +23,8 @@ import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "lambdatrees"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lambdatrees"
 
 
 def unused_imports(source):
@@ -62,6 +67,70 @@ def test_the_scan_sees_plain_and_quoted_uses():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [(2, "j"), (3, "List")]
+
+
+def definitions(source, module):
+    """(qualified name, name) of each function, class and method, dunders aside."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.append((owner + node.name, node.name))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, owner + node.name + ".")
+
+    visit(ast.parse(source).body, module + ".")
+    return found
+
+
+def loaded_names(source):
+    """Every name read, attribute read, imported name and string constant."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def caller_files():
+    """The package, the demos, the benchmark outside its own tests, and the test oracles."""
+    files = list((ROOT / "src").rglob("*.py")) + list((ROOT / "demos").glob("*.py"))
+    files += list((ROOT / "perfbench").glob("*.py"))
+    files += list((ROOT / "perfbench" / "workloads").rglob("*.py"))
+    return files + list((ROOT / "tests").glob("*_reference.py"))
+
+
+def test_every_definition_has_a_caller_outside_unit_tests():
+    used = set().union(*(loaded_names(path.read_text()) for path in caller_files()))
+    unused = [qualified
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, name in definitions(path.read_text(), path.stem)
+              if name not in used]
+    assert unused == []
+
+
+def test_the_definition_scan_sees_every_kind_of_load():
+    source = (
+        "class A:\n"
+        "    def m(self): pass\n"
+        "    def __repr__(self): pass\n"
+        "def f(): pass\n"
+        "def g(): pass\n"
+        "def h(): pass\n"
+        "def k(): pass\n"
+    )
+    assert [q for q, _ in definitions(source, "mod")] == ["mod.A", "mod.A.m", "mod.f", "mod.g",
+                                                          "mod.h", "mod.k"]
+    used = loaded_names("from mod import A as B\nB().m()\ngetattr(B, 'f')\nh = 1\n")
+    assert {"A", "m", "f"} <= used and "h" not in used and "g" not in used
 
 
 def modules_loaded(script):

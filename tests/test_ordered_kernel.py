@@ -22,12 +22,9 @@ from lambdatrees.ordered import (
     ConvexSubgroup,
     LambdaElement,
     LambdaGroup,
-    compare,
     convex_quotient,
     embedding,
-    group_rank,
     half_in_group,
-    halve,
     in_two_lambda,
     ratio,
 )
@@ -96,7 +93,7 @@ def test_arithmetic_and_order_match_the_reference(sample, k):
     same((x + y) - y, rx)
     assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry, rx >= ry)
     assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
-    assert compare(x, y) == ref.compare(rx, ry)
+    assert (x > y) - (x < y) == ref.compare(rx, ry)
     assert (x.sign(), x.is_zero(), x.is_positive()) == (rx.sign(), rx.is_zero(), rx.is_positive())
     assert outcome(lambda: x * Fraction(1, 2)) == outcome(lambda: rx * Fraction(1, 2))
 
@@ -106,8 +103,6 @@ def test_arithmetic_and_order_match_the_reference(sample, k):
 def test_halving_matches_the_reference(sample):
     _, [(x, rx)] = sample
     assert in_two_lambda(x) == ref.in_two_lambda(rx)
-    same(halve(x), ref.halve(rx))
-    same(halve(halve(x)), ref.halve(ref.halve(rx)))
     got = outcome(lambda: half_in_group(x))
     want = outcome(lambda: ref.half_in_group(rx))
     if isinstance(want, tuple):
@@ -136,23 +131,6 @@ def test_convex_subgroup_maps_match_the_reference(sample, depth):
     same(convex_quotient(x, sub), ref.convex_quotient(group, depth, rx))
     same(convex_quotient(x - y, sub), ref.convex_quotient(group, depth, rx - ry))
     assert sub.contains(x) == ref.contains(group, depth, rx)
-    got = outcome(lambda: sub.fiber_part(x))
-    want = outcome(lambda: ref.fiber_part(group, depth, rx))
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        same(got, want)
-
-
-@KERNEL
-@given(samples(count=4), st.integers(0, 4))
-def test_group_rank_matches_the_reference(sample, count):
-    group, pairs = sample
-    gens = [x for x, _ in pairs[:count]]
-    refs = [r for _, r in pairs[:count]]
-    assert group_rank(group, gens) == ref.group_rank(group, refs)
-    doubled = [g + g for g in gens] + [half_in_group(g + g) for g in gens]
-    assert group_rank(group, doubled) == ref.group_rank(group, refs)
 
 
 @KERNEL
@@ -211,7 +189,7 @@ def test_mixing_integer_and_dyadic_groups_raises_group_mismatch():
     rx, ry = ref.ReferenceElement.of(Z1, 1), ref.ReferenceElement.of(D1, 1)
     message = f"group mismatch: {Z1} vs {D1}"
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a < b,
-               lambda a, b: a >= b, compare, ratio):
+               lambda a, b: a >= b, ratio):
         assert outcome(lambda: op(x, y)) == (GroupMismatch, message)
         assert outcome(lambda: op(rx, ry)) == (GroupMismatch, message)
     assert x != y and rx != ry
@@ -238,12 +216,9 @@ def test_elements_are_immutable():
 # -- shared objects -----------------------------------------------------------------
 
 
-def test_zero_and_dyadic_extension_are_shared_per_group():
+def test_zero_is_shared_per_group():
     assert Z2.zero() is Z2.zero()
     assert Z2.zero() == LambdaGroup(2).zero()
-    assert Z2.dyadic_extension() is Z2.dyadic_extension()
-    assert D1.dyadic_extension() == D1
-    assert halve(Z1.element(1)).group is halve(Z1.element(3)).group
 
 
 def test_value_group_is_shared_across_fields():

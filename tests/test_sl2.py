@@ -28,12 +28,10 @@ from lambdatrees.sl2 import (
     ball_to_dot,
     base_vertex,
     canonical_vertex,
-    entry_valuation_displacement,
     find_fixed_vertex,
     lattice_distance,
     neighbors,
     sl2_translation_length,
-    stabilizer_membership,
 )
 from lambdatrees.valuation import ValuedField
 
@@ -319,37 +317,43 @@ def test_powers_scale_translation_length():
 
 
 def test_stabilizer_examples():
-    assert stabilizer_membership(mat(Q2, 1, 0, 2, 1), "delta") is True
-    assert stabilizer_membership(mat(Q2, 1, 0, 1, 1), "sl2_O") is True
-    assert stabilizer_membership(mat(Q2, 1, 0, 1, 1), "delta") is False
-    assert stabilizer_membership(mat(Q2, 1, Fraction(1, 2), 0, 1), "sl2_O") is False
-    assert stabilizer_membership(mat(Q2, 1, Fraction(1, 2), 0, 1), "sl2_O_conjugate") is True
-    with pytest.raises(DomainError):
-        stabilizer_membership(Mat2.identity(Q2), "borel")
+    # the base vertex and its neighbour diag(1, 2): SL2(O) fixes the first,
+    # its conjugate by diag(1, 2) the second, their intersection the edge
+    v0 = base_vertex(Q2)
+    other = canonical_vertex(mat(Q2, 1, 0, 0, 2))
+
+    def fixes(g):
+        return act(g, v0) == v0, act(g, other) == other
+
+    assert fixes(mat(Q2, 1, 0, 2, 1)) == (True, True)
+    assert fixes(mat(Q2, 1, 0, 1, 1)) == (True, False)
+    assert fixes(mat(Q2, 1, Fraction(1, 2), 0, 1)) == (False, True)
     with pytest.raises(DeterminantNotOne):
-        stabilizer_membership(mat(Q2, 2, 0, 0, 2), "sl2_O")
+        act(mat(Q2, 2, 0, 0, 2), v0)
 
 
 def test_stabilizers_are_exactly_vertex_and_edge_fixers():
+    # g fixes the base vertex exactly when its entries lie in the valuation
+    # ring, and the neighbour diag(1, 2) exactly when v(a), v(d) >= 0,
+    # v(b) >= -1 and v(c) >= 1
     rng = random.Random(31)
     v0 = base_vertex(Q2)
     other = canonical_vertex(mat(Q2, 1, 0, 0, 2))
     assert dist_int(v0, other) == 1
     for _ in range(60):
         g = random_sl2(Q2, rng)
-        fixes_v0 = act(g, v0) == v0
-        fixes_other = act(g, other) == other
-        assert stabilizer_membership(g, "sl2_O") == fixes_v0
-        assert stabilizer_membership(g, "sl2_O_conjugate") == fixes_other
-        assert stabilizer_membership(g, "delta") == (fixes_v0 and fixes_other)
+        va, vb, vc, vd = (Q2.valuation_int(x) for x in g.entries())
+        assert (act(g, v0) == v0) == (min(va, vb, vc, vd) >= 0)
+        assert (act(g, other) == other) == (va >= 0 and vd >= 0 and vb >= -1 and vc >= 1)
 
 
 def test_entry_valuation_reference_displacement():
+    # on a diagonal element the displacement is twice |least entry valuation|
     g = mat(Q2, 4, 0, 0, Fraction(1, 4))
-    assert entry_valuation_displacement(g) == Q2.value_group.element(2)
+    assert min(Q2.valuation_int(x) for x in g.entries()) == -2
     v0 = base_vertex(Q2)
     assert dist_int(v0, act(g, v0)) == 4
-    assert entry_valuation_displacement(mat(Q2, 1, 1, 0, 1)) == Q2.value_group.zero()
+    assert act(mat(Q2, 1, 1, 0, 1), v0) == v0
 
 
 def test_function_field_lattice_tree():
@@ -363,10 +367,11 @@ def test_function_field_lattice_tree():
     assert x2 == LatticeVertex(field, 4, field.zero())
     assert int(lattice_distance(u0, x1).coords[0]) == 2
     assert int(lattice_distance(x1, x2).coords[0]) == 2
-    assert entry_valuation_displacement(g) == field.value_group.element(1)
     h = Mat2.from_json(field, ["1", "t", "0", "1"])
     assert act(h, u0) == u0
-    assert stabilizer_membership(h, "delta") is True
+    # h also fixes the neighbour diag(1, t), so it fixes the edge between them
+    neighbour = canonical_vertex(Mat2.from_json(field, ["1", "0", "0", "t"]))
+    assert act(h, neighbour) == neighbour
 
 
 def test_matrix_json_round_trip_and_errors():

@@ -93,11 +93,10 @@ def test_segment_examples():
     T = unit_tripod()
     seg = T.segment(T.vertex_point("a"), T.vertex_point("b"))
     assert seg.length == Z1.element(2)
-    assert seg.vertex_path == ["c"]
+    assert seg.walk.interior_vertices() == ["c"]
     degenerate = T.segment(T.vertex_point("a"), T.vertex_point("a"))
     assert degenerate.length == Z1.element(0)
-    assert degenerate.vertex_path == []
-    assert not degenerate.is_nondegenerate()
+    assert degenerate.walk.interior_vertices() == []
 
 
 def test_segment_intersection_is_segment():
@@ -134,16 +133,6 @@ def test_median_is_symmetric_and_on_all_segments():
             assert T.median(*pair) == m
         for x, y in ((p, q), (q, r), (p, r)):
             assert T.segment(x, y).contains(m)
-
-
-def test_classify_point():
-    T = unit_tripod()
-    assert T.classify_point(T.vertex_point("c")) == ("branch", 3)
-    assert T.classify_point(T.vertex_point("a")) == ("dead_end", 1)
-    L = unit_path(2, D1)
-    mid = L.edge_point("e0", Fraction(1, 2))
-    assert L.classify_point(mid) == ("regular", 2)
-    assert L.classify_point(L.vertex_point("v1")) == ("regular", 2)
 
 
 def test_base_change_examples():
@@ -308,11 +297,3 @@ def test_json_round_trip():
     L = unit_path(2, D1)
     p = L.edge_point("e1", Fraction(1, 2))
     assert L.point_from_json(p.to_json()) == p
-
-
-def test_dot_output_mentions_every_edge():
-    T = unit_tripod()
-    dot = T.to_dot()
-    assert dot.startswith("graph")
-    for e in T.edges.values():
-        assert f'"{e.a}" -- "{e.b}"' in dot

@@ -165,7 +165,7 @@ def all_pairs_inverse(phi):
     segment of the domain.  Quadratic in the hull per tree vertex.
     """
     tree = phi.tree
-    hull = [tree.vertex_point(v) for v in sorted(phi.hull_vertices())]
+    hull = [tree.vertex_point(v) for v in sorted(phi._hull()[0])]
     images = [phi.apply(p) for p in hull]
     found = {}
     for w in tree.vertices:
@@ -255,7 +255,7 @@ def test_compose_lists_each_inner_hull_vertex_the_outer_map_holds():
         tree, g, h = builder(rng, group)
         maps = [m for m in (g, h, inverse_or_none(g), inverse_or_none(h)) if m is not None]
         for outer, inner in itertools.product(maps, repeat=2):
-            hull, inner_hull = outer.hull_vertices(), inner.hull_vertices()
+            hull, inner_hull = outer._hull()[0], inner._hull()[0]
 
             def held(p):
                 if p.is_vertex():

@@ -15,7 +15,6 @@ from lambdatrees.valuation import (
     RationalFunction,
     ValuedField,
     _is_prime,
-    is_formally_real,
     is_infinite,
     parse_rational_function,
 )
@@ -138,13 +137,6 @@ def test_residue_is_ring_homomorphism():
         seen += 1
         assert FT1.residue(x + y) == FT1.residue(x) + FT1.residue(y)
         assert FT1.residue(x * y) == FT1.residue(x) * FT1.residue(y)
-
-
-def test_formally_real_table():
-    assert not is_formally_real(Q2)
-    assert not is_formally_real(Q3)
-    assert is_formally_real(FT0)
-    assert is_formally_real(FTINF)
 
 
 def test_parser_round_trips():
