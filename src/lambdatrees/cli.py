@@ -50,6 +50,14 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _need_list(payload: dict, key: str):
+    """The field, refused when it is a string, which would iterate by character."""
+    value = _need(payload, key)
+    if isinstance(value, str):
+        raise PayloadError(f"{key} must be a list, not a string")
+    return value
+
+
 def _need_map(payload: dict, key: str, what: str) -> dict:
     value = _need(payload, key)
     if not isinstance(value, dict):
@@ -84,7 +92,7 @@ def _point_from_json(obj):
     from .lengths import ProjectivePoint, canonical_class
     from .ordered import bounded_fraction
 
-    classes = [canonical_class(c) for c in _need(obj, "classes")]
+    classes = [canonical_class(c) for c in _need_list(obj, "classes")]
     exact = obj.get("exact", True)
     if not isinstance(exact, bool):
         raise DomainError(f'limit "exact" must be true or false, not {exact!r}')
@@ -152,9 +160,9 @@ def _run_sl2_act(payload, args):
     from .sl2 import Mat2, act, base_vertex, canonical_vertex
 
     field = _field(_need(payload, "field"))
-    g = Mat2.from_json(field, _need(payload, "matrix"))
+    g = Mat2.from_json(field, _need_list(payload, "matrix"))
     if "vertex" in payload:
-        x = canonical_vertex(Mat2.from_json(field, payload["vertex"]))
+        x = canonical_vertex(Mat2.from_json(field, _need_list(payload, "vertex")))
     else:
         x = base_vertex(field)
     image = act(g, x)
@@ -167,7 +175,7 @@ def _run_sl2_ball(payload, args):
     field = _field(_need(payload, "field"))
     radius = _need_int(payload, "radius")
     if "center" in payload:
-        center = canonical_vertex(Mat2.from_json(field, payload["center"]))
+        center = canonical_vertex(Mat2.from_json(field, _need_list(payload, "center")))
     else:
         center = base_vertex(field)
     b = ball(center, radius)
@@ -184,7 +192,7 @@ def _run_sl2_length(payload, args):
     from .sl2 import Mat2, find_fixed_vertex, sl2_translation_length
 
     field = _field(_need(payload, "field"))
-    g = Mat2.from_json(field, _need(payload, "matrix"))
+    g = Mat2.from_json(field, _need_list(payload, "matrix"))
     tau = sl2_translation_length(g)
     fixed = find_fixed_vertex(g)
     return {
@@ -203,7 +211,7 @@ def _run_fundamental_group(payload, args):
     gog = GraphOfGroups.from_json(_need(payload, "graph"))
     tree_edges = payload.get("tree_edges")
     if tree_edges is not None:
-        tree_edges = [str(e) for e in tree_edges]
+        tree_edges = [str(e) for e in _need_list(payload, "tree_edges")]
     presentation = fundamental_group_presentation(gog, tree_edges)
     return {
         "presentation": presentation.to_json(),
@@ -260,13 +268,13 @@ def _run_length_function(payload, args):
     from .lengths import length_function
 
     action = _length_action(_need(payload, "action"))
-    return length_function(action, _need(payload, "classes")).to_json(), None
+    return length_function(action, _need_list(payload, "classes")).to_json(), None
 
 
 def _run_theta(payload, args):
     from .lengths import theta
 
-    point = theta(_need_map(payload, "matrices", "2x2 arrays"), _need(payload, "classes"))
+    point = theta(_need_map(payload, "matrices", "2x2 arrays"), _need_list(payload, "classes"))
     return point.to_json(), None
 
 
@@ -279,7 +287,7 @@ def _run_mu(payload, args):
         str(sym): Mat2.from_json(field, entries)
         for sym, entries in _need_map(payload, "matrices", "2x2 arrays").items()
     }
-    point, raw = mu(matrices, _need(payload, "classes"))
+    point, raw = mu(matrices, _need_list(payload, "classes"))
     return {"point": point.to_json(), "raw": raw.to_json()}, None
 
 
@@ -302,7 +310,7 @@ def _run_converge_check(payload, args):
     report = converge_check(
         family,
         _need(payload, "parameters"),
-        _need(payload, "classes"),
+        _need_list(payload, "classes"),
         tolerance=tolerance,
         limit=limit,
     )

@@ -78,6 +78,8 @@ class Presentation:
 
 
 def _parse_attachment(group: Presentation, mapping, label: str) -> Dict[str, Word]:
+    if not isinstance(mapping, dict):
+        raise TypeError(f"{label} must be an object from edge generators to words")
     out = {}
     for gen, value in mapping.items():
         if gen not in group.generators:
@@ -168,6 +170,8 @@ class GraphOfGroups:
 
     @staticmethod
     def from_json(obj: dict) -> "GraphOfGroups":
+        if not isinstance(obj["vertices"], dict):
+            raise TypeError("graph vertices must be an object from names to presentations")
         vertices = {v: Presentation.from_json(p) for v, p in obj["vertices"].items()}
         edges = [
             GroupEdge.make(
@@ -416,6 +420,8 @@ class CosetAction:
     def make(degree: int, perms) -> "CosetAction":
         if degree < 1:
             raise DomainError("degree must be at least 1")
+        if not isinstance(perms, dict):
+            raise TypeError("perms must be an object from symbols to image lists")
         norm: Dict[str, Tuple[int, ...]] = {}
         for sym, images in perms.items():
             check_symbol(sym)

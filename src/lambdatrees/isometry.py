@@ -93,7 +93,22 @@ class Subtree:
         raise DomainError("empty subtree has no points")
 
     def distance_to(self, p: TreePoint) -> LambdaElement:
-        return self._nearest(self.tree.validate_point(p))[0]
+        """The least distance from p to a member vertex or an arc.
+
+        An arc [a, b] lies d(p, [a, b]) = (d(p, a) + d(p, b) - d(a, b))/2
+        from p, so no projection is built; _nearest also finds the point.
+        """
+        p = self.tree.validate_point(p)
+        if self.is_empty():
+            raise DomainError("distance to an empty subtree")
+        dist = self.tree.distance
+        found = [dist(p, self.tree.vertex_point(v)) for v in self.vertices]
+        for eid, spans in self.arcs.items():
+            for lo, hi in spans:
+                a = self.tree.edge_point(eid, lo)
+                b = self.tree.edge_point(eid, hi)
+                found.append(half_in_group(dist(p, a) + dist(p, b) - (hi - lo)))
+        return min(found)
 
     def _nearest(self, p: TreePoint) -> Tuple[LambdaElement, TreePoint]:
         """The distance from p and the first point realizing it.
@@ -238,10 +253,44 @@ class TreeIsometry:
         self._profile_cache: Optional[Tuple[list, list]] = None
         self._image_cache: Dict[str, TreePoint] = {}
         self._inverse_cache: Optional[TreeIsometry] = None
-        if not _trusted:
+        if not _trusted and not self._is_local_isometry():
+            # the scan names the first pair of domain vertices at fault
+            self._image_cache.clear()
             self._validate()
 
+    def _is_local_isometry(self) -> bool:
+        """Whether the images of the hull vertices keep each hull edge's
+        length and fold no two hull neighbours of a vertex together.
+
+        Segments [w, v] and [v, w'] that meet only at v join into the
+        segment [w, w'] (Chiswell, Introduction to Lambda-trees, ch. 2), so
+        such a map is an isometric embedding of the hull, as a locally
+        injective map of trees is injective (Stallings 1983).  It costs one
+        distance per hull edge and one per pair of hull edges at a vertex.
+        """
+        members, _ = self._hull()
+        try:
+            image = {v: self._vertex_image(v) for v in members}
+        except InvalidPoint:
+            return False
+        dist = self.tree.distance
+        for v in members:
+            around = [
+                (w, image[w], self.tree.edges[eid].length)
+                for eid, w in self.tree.adjacency[v]
+                if w in members
+            ]
+            for i, (w, fw, lw) in enumerate(around):
+                if v < w and dist(image[v], fw) != lw:
+                    return False
+                for _, fx, lx in around[i + 1 :]:
+                    if dist(fw, fx) != lw + lx:
+                        return False
+        return True
+
     def _validate(self) -> None:
+        """Compare the distance of every pair of domain vertices with that
+        of their images, and name the first pair that differs."""
         dom = sorted(self.vertex_images)
         for i, u in enumerate(dom):
             pu = self.tree.vertex_point(u)
@@ -393,7 +442,7 @@ class TreeIsometry:
 
     # -- displacement profiles ---------------------------------------------------
 
-    def _edge_pieces(self, eid: str):
+    def _edge_pieces(self, eid: str, shift: Dict[str, LambdaElement]):
         """Exact simple pieces of the displacement along a hull edge.
 
         The edge is parametrized by the offset s from its first endpoint.
@@ -401,38 +450,36 @@ class TreeIsometry:
         displacement is affine with slope -2, 0 or +2 between the endpoint
         values, unless bottom2 is set, in which case the image runs back
         along this very edge and f(s) = |2s - bottom2| exactly (the zero at
-        bottom2/2 may or may not be a group point).
+        bottom2/2 may or may not be a group point).  shift holds the
+        displacement of each hull vertex, which gives f at both ends; each
+        piece starts at the value the one before it ends with.
         """
         edge = self.tree.edges[eid]
-        ia = self._vertex_image(edge.a)
-        ib = self._vertex_image(edge.b)
-        walk = self.tree.path_walk(ia, ib)
+        walk = self.tree.path_walk(self._vertex_image(edge.a), self._vertex_image(edge.b))
         if not walk.arcs:
             raise NotAnIsometry("edge endpoints share an image")
         pieces = []
         c = self.tree.group.zero()
+        f_lo = shift[edge.a]
         for aid, o1, o2 in walk.arcs:
             c2 = c + (o2 - o1).abs()
+            bottom2 = None
             if aid == eid and o2 < o1:
                 # image moves backward along the edge itself
-                bottom2 = o1 + c
-                f_lo = (c - o1).abs()
                 f_hi = (c2 - o2).abs()
-                if 2 * c < bottom2 < 2 * c2:
-                    pieces.append((c, c2, f_lo, f_hi, bottom2))
-                else:
-                    pieces.append((c, c2, f_lo, f_hi, None))
+                if 2 * c < o1 + c < 2 * c2:
+                    bottom2 = o1 + c
             elif aid == eid:
                 # image moves forward along the edge: constant offset
-                f = (c - o1).abs()
-                pieces.append((c, c2, f, f, None))
+                f_hi = f_lo
+            elif c2 == edge.length:
+                f_hi = shift[edge.b]
             else:
-                x1 = self.tree.edge_point(eid, c)
+                # the breakpoint's image ends this arc of the image path
                 x2 = self.tree.edge_point(eid, c2)
-                f_lo = self.tree.distance(x1, walk.point_at(c))
-                f_hi = self.tree.distance(x2, walk.point_at(c2))
-                pieces.append((c, c2, f_lo, f_hi, None))
-            c = c2
+                f_hi = self.tree.distance(x2, self.tree.edge_point(aid, o2))
+            pieces.append((c, c2, f_lo, f_hi, bottom2))
+            c, f_lo = c2, f_hi
         return pieces
 
     def _profile(self) -> Tuple[list, list]:
@@ -444,11 +491,9 @@ class TreeIsometry:
         """
         if self._profile_cache is None:
             members, _ = self._hull()
-            vertices = [
-                (v, self.displacement(self.tree.vertex_point(v))) for v in sorted(members)
-            ]
-            edges = [(eid, self._edge_pieces(eid)) for eid in self.hull_edges()]
-            self._profile_cache = (vertices, edges)
+            shift = {v: self.displacement(self.tree.vertex_point(v)) for v in sorted(members)}
+            edges = [(eid, self._edge_pieces(eid, shift)) for eid in self.hull_edges()]
+            self._profile_cache = (list(shift.items()), edges)
         return self._profile_cache
 
     def minimum_displacement(self) -> Tuple[LambdaElement, TreePoint]:
@@ -554,9 +599,10 @@ class TreeIsometry:
 
     @staticmethod
     def from_json(tree: LambdaTree, obj: dict) -> "TreeIsometry":
-        images = {}
-        for v, target in obj["map"].items():
-            images[v] = tree.point_from_json(target)
+        mapping = obj["map"]
+        if not isinstance(mapping, dict):
+            raise TypeError("isometry map must be an object from vertices to points")
+        images = {v: tree.point_from_json(target) for v, target in mapping.items()}
         return TreeIsometry(tree, images)
 
     def __str__(self):

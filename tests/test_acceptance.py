@@ -9,7 +9,6 @@ case (criterion 10).
 
 import collections
 import json
-import math
 import random
 import time
 

@@ -678,6 +678,49 @@ HOSTILE_TASKS = {
             "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
             "parameters": [10, 100], "classes": ["a", "a a"], "csv": 2}}),
         1, None, "bad payload for converge-check: csv must be a file path string"),
+    "isometry-map-not-an-object": (
+        json.dumps({"command": "classify-isometry", "payload": {
+            "tree": LINE_TREE, "isometry": {"map": ["u", "v"]}}}),
+        1, None, "bad payload for classify-isometry: "
+        "TypeError('isometry map must be an object from vertices to points')"),
+    "graph-vertices-not-an-object": (
+        json.dumps({"command": "fundamental-group", "payload": {
+            "graph": {"vertices": ["A"], "edges": []}}}),
+        1, None, "bad payload for fundamental-group: "
+        "TypeError('graph vertices must be an object from names to presentations')"),
+    "perms-not-an-object": (
+        json.dumps({"command": "schreier-rank", "payload": {
+            "rank": 1, "action": {"degree": 1, "perms": [[1]]}}}),
+        1, None, "bad payload for schreier-rank: "
+        "TypeError('perms must be an object from symbols to image lists')"),
+    "attachment-not-an-object": (
+        json.dumps({"command": "fundamental-group", "payload": {"graph": {
+            "vertices": {"A": {"gens": ["a"], "rels": []}, "B": {"gens": ["b"], "rels": []}},
+            "edges": [{"id": "e1", "from": "A", "to": "B", "group": {"gens": ["c"], "rels": []},
+                       "into_from": {"c": "a"}, "into_to": ["b"]}]}}}),
+        1, None, "bad payload for fundamental-group: TypeError(\"edge 'e1' head attachment "
+        "must be an object from edge generators to words\")"),
+    "matrix-a-string": (
+        json.dumps({"command": "sl2-act", "payload": {"field": Q2, "matrix": "1001"}}),
+        1, None, "bad payload for sl2-act: matrix must be a list, not a string"),
+    "vertex-a-string": (
+        json.dumps({"command": "sl2-act", "payload": {
+            "field": Q2, "matrix": ["1", "0", "0", "1"], "vertex": "1001"}}),
+        1, None, "bad payload for sl2-act: vertex must be a list, not a string"),
+    "center-a-string": (
+        json.dumps({"command": "sl2-ball", "payload": {
+            "field": Q2, "radius": 1, "center": "1001"}}),
+        1, None, "bad payload for sl2-ball: center must be a list, not a string"),
+    "tree-edges-a-string": (
+        json.dumps({"command": "fundamental-group", "payload": {"graph": {
+            "vertices": {"A": {"gens": ["a"], "rels": []}},
+            "edges": [{"id": "e1", "from": "A", "to": "A", "group": {"gens": [], "rels": []}}]},
+            "tree_edges": "e1"}}),
+        1, None, "bad payload for fundamental-group: tree_edges must be a list, not a string"),
+    "classes-a-string": (
+        json.dumps({"command": "theta", "payload": {
+            "matrices": {"a": [[2, 0], [0, 0.5]]}, "classes": "a"}}),
+        1, None, "bad payload for theta: classes must be a list, not a string"),
 }
 
 

@@ -1,10 +1,10 @@
 """What the package's modules import.
 
-Every name a module imports is used in that module.  No linter ships with
-the project, so a scan stands in for one: it parses each source file,
-collects the names its import statements bind (``from __future__`` aside)
-and fails on any the module never reads, counting the names inside quoted
-annotations as read.
+Every name a package or test module imports is used in that module.  No
+linter ships with the project, so a scan stands in for one: it parses each
+source file, collects the names its import statements bind (``from
+__future__`` aside) and fails on any the module never reads, counting the
+names inside quoted annotations as read.
 
 Every function, class and method the package defines is loaded by the
 package, a demo, a benchmark workload or a test oracle (a
@@ -53,7 +53,11 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 

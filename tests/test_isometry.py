@@ -9,7 +9,6 @@ from lambdatrees.errors import NotAnIsometry, OrbitEscapesTree
 from lambdatrees.isometry import (
     NoCommonFixedPoint,
     TreeIsometry,
-    classify,
     common_fixed_point,
     compose,
 )

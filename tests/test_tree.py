@@ -10,7 +10,7 @@ from lambdatrees.errors import (
     InvalidPoint,
 )
 from lambdatrees.ordered import ConvexSubgroup, LambdaGroup
-from lambdatrees.tree import LambdaTree, TreePoint, check_axioms, random_point
+from lambdatrees.tree import LambdaTree, check_axioms, random_point
 
 Z1 = LambdaGroup(1)
 Z2 = LambdaGroup(2)

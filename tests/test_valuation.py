@@ -8,7 +8,6 @@ import pytest
 from lambdatrees.errors import DomainError, NotInValuationRing
 from lambdatrees.ordered import MAX_DIGITS, MAX_EXPONENT, LambdaGroup
 from lambdatrees.valuation import (
-    INFINITY,
     MAX_DEGREE,
     MAX_NESTING,
     Polynomial,
