@@ -50,11 +50,11 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
-def _need_list(payload: dict, key: str):
+def _need_list(payload: dict, key: str, what: Optional[str] = None):
     """The field, refused when it is a string, which would iterate by character."""
     value = _need(payload, key)
     if isinstance(value, str):
-        raise PayloadError(f"{key} must be a list, not a string")
+        raise PayloadError(f"{what or key} must be a list, not a string")
     return value
 
 
@@ -63,6 +63,18 @@ def _need_map(payload: dict, key: str, what: str) -> dict:
     if not isinstance(value, dict):
         raise PayloadError(f"{key} must map generator symbols to {what}")
     return value
+
+
+def _matrices(payload: dict, key: str) -> dict:
+    """The generator map under ``key``, each entry list read over the payload's field."""
+    from .sl2 import Mat2
+
+    field = _field(_need(payload, "field"))
+    matrices = _need_map(payload, key, "2x2 arrays")
+    return {
+        str(sym): Mat2.from_json(field, _need_list(matrices, sym, f'{key} "{sym}"'))
+        for sym in matrices
+    }
 
 
 def _need_int(payload: dict, key: str) -> int:
@@ -238,7 +250,6 @@ def _run_schreier_rank(payload, args):
 def _length_action(spec) -> dict:
     from .isometry import TreeIsometry
     from .lengths import free_group_action
-    from .sl2 import Mat2
     from .tree import LambdaTree
 
     if not isinstance(spec, dict):
@@ -246,7 +257,7 @@ def _length_action(spec) -> dict:
     kind = spec.get("type")
     if kind == "cayley":
         _, action = free_group_action(
-            [str(s) for s in _need(spec, "generators")], _need_int(spec, "radius")
+            [str(s) for s in _need_list(spec, "generators")], _need_int(spec, "radius")
         )
         return action
     if kind == "tree":
@@ -256,11 +267,7 @@ def _length_action(spec) -> dict:
             for sym, iso in _need_map(spec, "isometries", "isometries").items()
         }
     if kind == "matrix":
-        field = _field(_need(spec, "field"))
-        return {
-            str(sym): Mat2.from_json(field, entries)
-            for sym, entries in _need_map(spec, "matrices", "2x2 arrays").items()
-        }
+        return _matrices(spec, "matrices")
     raise PayloadError("action type must be cayley, tree, or matrix")
 
 
@@ -280,26 +287,15 @@ def _run_theta(payload, args):
 
 def _run_mu(payload, args):
     from .lengths import mu
-    from .sl2 import Mat2
 
-    field = _field(_need(payload, "field"))
-    matrices = {
-        str(sym): Mat2.from_json(field, entries)
-        for sym, entries in _need_map(payload, "matrices", "2x2 arrays").items()
-    }
-    point, raw = mu(matrices, _need_list(payload, "classes"))
+    point, raw = mu(_matrices(payload, "matrices"), _need_list(payload, "classes"))
     return {"point": point.to_json(), "raw": raw.to_json()}, None
 
 
 def _run_converge_check(payload, args):
     from .lengths import converge_check, converge_csv
-    from .sl2 import Mat2
 
-    field = _field(_need(payload, "field"))
-    family = {
-        str(sym): Mat2.from_json(field, entries)
-        for sym, entries in _need_map(payload, "family", "2x2 arrays").items()
-    }
+    family = _matrices(payload, "family")
     limit = None
     if payload.get("limit") is not None:
         limit = _point_from_json(payload["limit"])
@@ -309,7 +305,7 @@ def _run_converge_check(payload, args):
     tolerance = args.tolerance if args.tolerance is not None else 1e-6
     report = converge_check(
         family,
-        _need(payload, "parameters"),
+        _need_list(payload, "parameters"),
         _need_list(payload, "classes"),
         tolerance=tolerance,
         limit=limit,

@@ -123,16 +123,6 @@ class GroupEdge:
             _parse_attachment(group, into_head, f"edge {id!r} head attachment"),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "from": self.tail,
-            "to": self.head,
-            "group": self.group.to_json(),
-            "into_from": {g: format_word(w) for g, w in self.into_tail.items()},
-            "into_to": {g: format_word(w) for g, w in self.into_head.items()},
-        }
-
 
 @dataclass(frozen=True)
 class GraphOfGroups:
@@ -161,12 +151,6 @@ class GraphOfGroups:
             if e.id == edge_id:
                 return e
         raise InvalidEdge(f"no edge {edge_id!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": {v: p.to_json() for v, p in self.vertex_groups.items()},
-            "edges": [e.to_json() for e in self.edges],
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "GraphOfGroups":
@@ -430,12 +414,6 @@ class CosetAction:
                 raise DomainError(f"images of {sym!r} are not a permutation of 1..{degree}")
             norm[sym] = images
         return CosetAction(degree, norm, len(_breadth_first(1, _letters(norm))) == degree)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "perms": {sym: list(images) for sym, images in self.perms.items()},
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "CosetAction":

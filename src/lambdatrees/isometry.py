@@ -26,7 +26,7 @@ from .errors import (
     TreeMismatch,
 )
 from .ordered import LambdaElement, half_in_group, in_two_lambda
-from .tree import LambdaTree, Segment, TreePoint
+from .tree import LambdaTree, PathWalk, TreePoint
 
 
 class Subtree:
@@ -192,7 +192,7 @@ class IsometryClass:
     kind: str  # "elliptic" | "inversion" | "hyperbolic"
     length: LambdaElement
     fixed_set: Optional[Subtree] = None
-    flipped_segment: Optional[Segment] = None
+    flipped_segment: Optional[PathWalk] = None
     flipped_length: Optional[LambdaElement] = None
     tau: Optional[LambdaElement] = None
     axis: Optional[Subtree] = None
@@ -204,8 +204,8 @@ class IsometryClass:
         elif self.kind == "inversion":
             out["flipped_length"] = self.flipped_length.to_json()
             out["flipped_segment"] = {
-                "from": self.flipped_segment.p.to_json(),
-                "to": self.flipped_segment.q.to_json(),
+                "from": self.flipped_segment.start.to_json(),
+                "to": self.flipped_segment.end.to_json(),
             }
         else:
             out["tau"] = self.tau.to_json()
@@ -375,12 +375,6 @@ class TreeIsometry:
         return self.tree.distance(p, self.apply(p))
 
     # -- algebra ---------------------------------------------------------------
-
-    @staticmethod
-    def identity(tree: LambdaTree) -> "TreeIsometry":
-        return TreeIsometry(
-            tree, {v: tree.vertex_point(v) for v in tree.vertices}, _trusted=True
-        )
 
     def compose(self, other: "TreeIsometry") -> "TreeIsometry":
         """self after other: x maps to self(other(x)).
@@ -575,7 +569,7 @@ class TreeIsometry:
             return IsometryClass(
                 "inversion",
                 zero,
-                flipped_segment=self.tree.segment(start, self.apply(start)),
+                flipped_segment=self.tree.path_walk(start, self.apply(start)),
                 flipped_length=lam,
             )
         tau2, _ = squared.minimum_displacement()
@@ -593,9 +587,6 @@ class TreeIsometry:
         return IsometryClass("hyperbolic", tau, tau=tau, axis=axis)
 
     # -- serialization ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"map": {v: img.to_json() for v, img in sorted(self.vertex_images.items())}}
 
     @staticmethod
     def from_json(tree: LambdaTree, obj: dict) -> "TreeIsometry":

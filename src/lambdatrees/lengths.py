@@ -64,9 +64,6 @@ class ConjClass:
     def __len__(self) -> int:
         return len(self.word)
 
-    def to_json(self) -> str:
-        return self.text
-
     def __str__(self) -> str:
         return self.text or "1"
 
@@ -84,9 +81,7 @@ def canonical_class(word: Union[str, Word], generators: Optional[Sequence[str]] 
 
 def enumerate_classes(generators: Sequence[str], max_length: int) -> List[ConjClass]:
     """All nontrivial conjugacy classes of cyclic word length up to max_length."""
-    syms = [check_symbol(s) for s in generators]
-    if len(set(syms)) != len(syms) or not syms:
-        raise SymbolError("generators must be distinct and nonempty")
+    syms = _generators(generators)
     if max_length < 1:
         raise DomainError("max_length must be at least 1")
     size = _reduced_word_count(len(syms), max_length)
@@ -95,20 +90,11 @@ def enumerate_classes(generators: Sequence[str], max_length: int) -> List[ConjCl
             f"classes up to length {max_length} over generators {', '.join(syms)} span"
             f" {size} reduced words, more than {MAX_CAYLEY_VERTICES}"
         )
-    letters = [(s, e) for s in syms for e in (1, -1)]
-    seen = set()
-
-    def grow(w: Word, budget: int) -> None:
-        if w and w[0] != (w[-1][0], -w[-1][1]):
-            seen.add(least_rotation(w))
-        if budget == 0:
-            return
-        for let in letters:
-            if w and w[-1] == (let[0], -let[1]):
-                continue
-            grow(w + (let,), budget - 1)
-
-    grow((), max_length)
+    seen = {
+        least_rotation(w)
+        for w in _reduced_words(syms, max_length)[1:]
+        if w[0] != (w[-1][0], -w[-1][1])
+    }
     return [ConjClass(w) for w in sorted(seen, key=lambda w: (len(w), word_key(w)))]
 
 
@@ -421,6 +407,24 @@ def converge_csv(report: dict) -> str:
 MAX_CAYLEY_VERTICES = 100_000
 
 
+def _generators(generators: Sequence[str]) -> List[str]:
+    syms = [check_symbol(s) for s in generators]
+    if len(set(syms)) != len(syms) or not syms:
+        raise SymbolError("generators must be distinct and nonempty")
+    return syms
+
+
+def _reduced_words(syms: Sequence[str], length: int) -> List[Word]:
+    """Reduced words of length at most ``length`` over syms, breadth first:
+    each level lists the extensions of the previous one's words in order."""
+    letters = [(s, e) for s in syms for e in (1, -1)]
+    words, level = [()], [()]
+    for _ in range(length):
+        level = [w + (x,) for w in level for x in letters if not w or w[-1] != (x[0], -x[1])]
+        words.extend(level)
+    return words
+
+
 def _reduced_word_count(k: int, length: int) -> int:
     """Reduced words of length at most ``length`` over k generators: the
     vertex count of the radius-``length`` ball in the Cayley tree."""
@@ -438,9 +442,7 @@ def free_group_action(generators: Sequence[str], radius: int) -> Tuple[LambdaTre
     restrictions of global tree isometries, so they are constructed
     trusted; distance preservation follows from word arithmetic.
     """
-    syms = [check_symbol(s) for s in generators]
-    if len(set(syms)) != len(syms) or not syms:
-        raise SymbolError("generators must be distinct and nonempty")
+    syms = _generators(generators)
     if radius < 1:
         raise DomainError("radius must be at least 1")
     k = len(syms)
@@ -450,27 +452,14 @@ def free_group_action(generators: Sequence[str], radius: int) -> Tuple[LambdaTre
             f"a radius-{radius} ball over {k} generators has {size} vertices,"
             f" more than {MAX_CAYLEY_VERTICES}"
         )
-    letters = [(s, e) for s in syms for e in (1, -1)]
     group = LambdaGroup(1)
     unit = group.element(1)
 
     def name(w: Word) -> str:
         return format_word(w) if w else "1"
 
-    words = [()]
-    edges = []
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for let in letters:
-                if w and w[-1] == (let[0], -let[1]):
-                    continue
-                child = w + (let,)
-                nxt.append(child)
-                edges.append((name(w), name(child), unit))
-        words.extend(nxt)
-        frontier = nxt
+    words = _reduced_words(syms, radius)
+    edges = [(name(w[:-1]), name(w), unit) for w in words[1:]]
     tree = LambdaTree(group, [name(w) for w in words], edges)
     action = {}
     for sym in syms:

@@ -300,6 +300,8 @@ class LambdaElement:
 
     @staticmethod
     def from_json(obj: Sequence, group: LambdaGroup) -> "LambdaElement":
+        if isinstance(obj, str):
+            raise TypeError(f"coordinates {obj!r} must be a list, not a string")
         return group.element(*[bounded_fraction(str(c)) for c in obj])
 
     def __str__(self) -> str:

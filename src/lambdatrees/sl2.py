@@ -76,10 +76,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def scale(self, alpha) -> "Mat2":
-        alpha = self.field.coerce(alpha)
-        return Mat2(self.field, self.a * alpha, self.b * alpha, self.c * alpha, self.d * alpha)
-
     def inverse(self) -> "Mat2":
         det = self.det()
         if det == self.field.zero():

@@ -262,10 +262,6 @@ class LambdaTree:
             arcs.append((q.edge, zero if eq == edge.a else edge.length, q.offset))
         return PathWalk(self, p, q, arcs, length)
 
-    def segment(self, p: TreePoint, q: TreePoint) -> "Segment":
-        walk = self.path_walk(p, q)
-        return Segment(self, p, q, walk)
-
     def median(self, p: TreePoint, q: TreePoint, r: TreePoint) -> TreePoint:
         spread = self.distance(p, q) + self.distance(p, r) - self.distance(q, r)
         alpha = half_in_group(spread)
@@ -275,8 +271,8 @@ class LambdaTree:
 
     def base_change(self, target: LambdaGroup) -> "LambdaTree":
         embed = embedding(self.group, target)
-        edges = [(e.a, e.b, embed(e.length)) for e in self._edge_list()]
-        return LambdaTree(target, self.vertices, edges, [e.id for e in self._edge_list()])
+        edges = [(e.a, e.b, embed(e.length)) for e in self.edges.values()]
+        return LambdaTree(target, self.vertices, edges, list(self.edges))
 
     def convex_quotient_tree(self, subgroup: ConvexSubgroup) -> "QuotientResult":
         if subgroup.group != self.group:
@@ -294,7 +290,7 @@ class LambdaTree:
         new_ids = []
         fiber_edges: Dict[str, list] = {root: [] for root in component}
         fiber_ids: Dict[str, List[str]] = {root: [] for root in component}
-        for edge in self._edge_list():
+        for edge in self.edges.values():
             if inside[edge.id]:
                 root = vertex_map[edge.a]
                 fiber_edges[root].append((edge.a, edge.b, edge.length))
@@ -310,9 +306,6 @@ class LambdaTree:
         }
         return QuotientResult(quotient, fibers, vertex_map)
 
-    def _edge_list(self) -> List[Edge]:
-        return [self.edges[eid] for eid in self.edges]
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -320,19 +313,13 @@ class LambdaTree:
             "group": self.group.to_json(),
             "vertices": list(self.vertices),
             "edges": [
-                {"a": e.a, "b": e.b, "len": e.length.to_json()} for e in self._edge_list()
+                {"a": e.a, "b": e.b, "len": e.length.to_json()} for e in self.edges.values()
             ],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "LambdaTree":
-        group = LambdaGroup.from_json(obj["group"])
-        vertices = [str(v) for v in obj["vertices"]]
-        edges = []
-        for rec in obj["edges"]:
-            length = LambdaElement.from_json(rec["len"], group)
-            edges.append((str(rec["a"]), str(rec["b"]), length))
-        return LambdaTree(group, vertices, edges)
+        return LambdaTree(*_graph_from_json(obj))
 
     def __str__(self):
         return f"LambdaTree({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -370,6 +357,9 @@ class PathWalk:
             acc = nxt
         return self.end
 
+    def contains(self, x: TreePoint) -> bool:
+        return self.tree.distance(self.start, x) + self.tree.distance(x, self.end) == self.length
+
     def interior_vertices(self) -> List[str]:
         """Vertices strictly between the endpoints, in traversal order."""
         out: List[str] = []
@@ -381,27 +371,6 @@ class PathWalk:
         return out
 
 
-class Segment:
-    """The unique segment between two points of the tree."""
-
-    def __init__(self, tree: LambdaTree, p: TreePoint, q: TreePoint, walk: PathWalk):
-        self.tree = tree
-        self.p = walk.start
-        self.q = walk.end
-        self.walk = walk
-        self.length = walk.length
-
-    def point_at(self, s: LambdaElement) -> TreePoint:
-        return self.walk.point_at(s)
-
-    def contains(self, x: TreePoint) -> bool:
-        d = self.tree.distance
-        return d(self.p, x) + d(x, self.q) == self.length
-
-    def __str__(self):
-        return f"Segment({self.p} .. {self.q}, length {self.length})"
-
-
 @dataclass
 class QuotientResult:
     """A quotient tree, its fibers keyed by quotient vertex, and the vertex map."""
@@ -409,6 +378,26 @@ class QuotientResult:
     tree: LambdaTree
     fibers: Dict[str, LambdaTree]
     vertex_map: Dict[str, str]
+
+
+def _graph_from_json(obj) -> Tuple[LambdaGroup, List[str], list]:
+    """The group, vertex names and (a, b, length) edges a tree's JSON describes.
+
+    A string where a list belongs is refused rather than read by character.
+    """
+    group = LambdaGroup.from_json(obj["group"])
+    vertices = [str(v) for v in _not_text(obj["vertices"], "tree vertices")]
+    edges = []
+    for i, rec in enumerate(_not_text(obj["edges"], "tree edges")):
+        length = LambdaElement.from_json(_not_text(rec["len"], f"edge e{i} len"), group)
+        edges.append((str(rec["a"]), str(rec["b"]), length))
+    return group, vertices, edges
+
+
+def _not_text(value, what: str):
+    if isinstance(value, str):
+        raise TypeError(f"{what} must be a list, not a string")
+    return value
 
 
 def _structural_report(group, vertices, edges) -> Optional[dict]:
@@ -506,14 +495,9 @@ def check_axioms(candidate, sample_size: int = 50, seed: int = 0) -> dict:
     if isinstance(candidate, LambdaTree):
         group = candidate.group
         vertices = candidate.vertices
-        edges = [(e.a, e.b, e.length) for e in candidate._edge_list()]
+        edges = [(e.a, e.b, e.length) for e in candidate.edges.values()]
     elif isinstance(candidate, dict):
-        group = LambdaGroup.from_json(candidate["group"])
-        vertices = [str(v) for v in candidate["vertices"]]
-        edges = [
-            (str(r["a"]), str(r["b"]), LambdaElement.from_json(r["len"], group))
-            for r in candidate["edges"]
-        ]
+        group, vertices, edges = _graph_from_json(candidate)
     else:
         group, vertices, edges = candidate
 
@@ -530,7 +514,7 @@ def check_axioms(candidate, sample_size: int = 50, seed: int = 0) -> dict:
         q = random_point(tree, rng)
         r = random_point(tree, rng)
         # axiom (a): a segment exists and realizes the distance
-        seg = tree.segment(p, q)
+        seg = tree.path_walk(p, q)
         if seg.length != tree.distance(p, q):
             return {
                 "valid": False,
@@ -540,7 +524,7 @@ def check_axioms(candidate, sample_size: int = 50, seed: int = 0) -> dict:
             }
         # axiom (b): segments from a common endpoint meet in a segment
         m = tree.median(p, q, r)
-        sr = tree.segment(p, r)
+        sr = tree.path_walk(p, r)
         if not (seg.contains(m) and sr.contains(m)):
             return {
                 "valid": False,

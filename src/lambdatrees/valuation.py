@@ -607,11 +607,6 @@ class ValuedField:
     def one(self) -> FieldElement:
         return Fraction(1) if self.base == "Q" else RationalFunction.constant(1)
 
-    def contains(self, x) -> bool:
-        if self.base == "Q":
-            return isinstance(x, Fraction)
-        return isinstance(x, RationalFunction)
-
     def coerce(self, x) -> FieldElement:
         if self.base == "Q":
             if isinstance(x, Fraction):
@@ -704,13 +699,6 @@ class ValuedField:
     def element_to_string(self, x) -> str:
         x = self.coerce(x)
         return str(x)
-
-    def to_json(self) -> dict:
-        if self.base == "Q":
-            return {"field": "Q", "p": self.p}
-        if self.kind == "at_infinity":
-            return {"field": "Q(t)", "at": "inf"}
-        return {"field": "Q(t)", "at": str(self.point)}
 
     @staticmethod
     def from_json(obj: dict) -> "ValuedField":

@@ -721,6 +721,45 @@ HOSTILE_TASKS = {
         json.dumps({"command": "theta", "payload": {
             "matrices": {"a": [[2, 0], [0, 0.5]]}, "classes": "a"}}),
         1, None, "bad payload for theta: classes must be a list, not a string"),
+    "tree-vertices-a-string": (
+        json.dumps({"command": "tree-distance", "payload": {"tree": {
+            "group": {"rank": 1}, "vertices": "abc",
+            "edges": [{"a": "a", "b": "b", "len": ["1"]}, {"a": "b", "b": "c", "len": ["1"]}]},
+            "p": "a", "q": "c"}}),
+        1, None, "bad payload for tree-distance: "
+        "TypeError('tree vertices must be a list, not a string')"),
+    "edge-length-a-string": (
+        json.dumps({"command": "tree-distance", "payload": {"tree": {
+            "group": {"rank": 2}, "vertices": ["u", "v"],
+            "edges": [{"a": "u", "b": "v", "len": "12"}]}, "p": "u", "q": "v"}}),
+        1, None, "bad payload for tree-distance: "
+        "TypeError('edge e0 len must be a list, not a string')"),
+    "offset-a-string": (
+        json.dumps({"command": "tree-distance", "payload": {"tree": {
+            "group": {"rank": 1}, "vertices": ["u", "v"],
+            "edges": [{"a": "u", "b": "v", "len": ["2"]}]}, "p": "u",
+            "q": {"edge": "e0", "offset": "1"}}}),
+        1, None, "bad payload for tree-distance: "
+        "TypeError(\"coordinates '1' must be a list, not a string\")"),
+    "axioms-vertices-a-string": (
+        json.dumps({"command": "check-axioms", "payload": {"tree": {
+            "group": {"rank": 1}, "vertices": "ab",
+            "edges": [{"a": "a", "b": "b", "len": ["1"]}]}}}),
+        1, None, "bad payload for check-axioms: "
+        "TypeError('tree vertices must be a list, not a string')"),
+    "generators-a-string": (
+        json.dumps({"command": "length-function", "payload": {
+            "action": {"type": "cayley", "generators": "ab", "radius": 2}, "classes": ["a"]}}),
+        1, None, "bad payload for length-function: generators must be a list, not a string"),
+    "parameters-a-string": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"]},
+            "parameters": "59", "classes": ["a", "a a"]}}),
+        1, None, "bad payload for converge-check: parameters must be a list, not a string"),
+    "matrix-entries-a-string": (
+        json.dumps({"command": "mu", "payload": {
+            "field": Q2, "matrices": {"a": "1001"}, "classes": ["a"]}}),
+        1, None, 'bad payload for mu: matrices "a" must be a list, not a string'),
 }
 
 

@@ -1,6 +1,6 @@
 """What the package's modules import.
 
-Every name a package or test module imports is used in that module.  No
+Every name a package, test or demo module imports is used in that module.  No
 linter ships with the project, so a scan stands in for one: it parses each
 source file, collects the names its import statements bind (``from
 __future__`` aside) and fails on any the module never reads, counting the
@@ -9,6 +9,9 @@ names inside quoted annotations as read.
 Every function, class and method the package defines is loaded by the
 package, a demo, a benchmark workload or a test oracle (a
 ``tests/*_reference.py`` module), so no API lives on for unit tests alone.
+A method is loaded only as an attribute or a ``getattr`` string, so a local
+variable of the same name does not count; a static method whose name another
+class also defines only as ``Owner.m``.
 
 The CLI loads only the layers a command runs: each check starts a fresh
 interpreter and reads ``sys.modules`` after the import or the command.
@@ -55,8 +58,9 @@ def unused_imports(source):
 
 @pytest.mark.parametrize(
     "path",
-    sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
-    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+    sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
 )
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -74,34 +78,76 @@ def test_the_scan_sees_plain_and_quoted_uses():
 
 
 def definitions(source, module):
-    """(qualified name, name) of each function, class and method, dunders aside."""
+    """(qualified name, name, owning class, static) of each function, class and
+    method, dunders aside; the owner is None outside a class."""
     found = []
 
     def visit(body, owner):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    found.append((owner + node.name, node.name))
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    found.append((module + "." + (owner + "." if owner else "") + node.name,
+                                  node.name, owner, static))
                 if isinstance(node, ast.ClassDef):
-                    visit(node.body, owner + node.name + ".")
+                    visit(node.body, node.name)
 
-    visit(ast.parse(source).body, module + ".")
+    visit(ast.parse(source).body, None)
     return found
 
 
 def loaded_names(source):
-    """Every name read, attribute read, imported name and string constant."""
+    """What a module reads: ``n`` for a name, imported name or string constant,
+    ``.m`` for an attribute or a ``getattr`` string, and ``C.m`` for an
+    attribute of a name, read through the import's alias."""
+    tree = ast.parse(source)
+    alias = {a.asname: a.name.split(".")[-1] for a in ast.walk(tree)
+             if isinstance(a, ast.alias) and a.asname}
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            names.add("." + node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add(alias.get(node.value.id, node.value.id) + "." + node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            names.add("." + str(node.args[1].value))
     return names
+
+
+def uncalled(modules, callers):
+    """Qualified names of the definitions in ``modules`` ((name, source) pairs)
+    that no source in ``callers`` loads.
+
+    A function or class is loaded by its name, as an attribute or as a string.
+    A method only as an attribute or a ``getattr`` string, and a static method
+    whose name another class also defines only as ``Owner.m``.
+    """
+    used = set().union(*(loaded_names(source) for source in callers))
+    found = [d for module, source in modules for d in definitions(source, module)]
+    owners = {}
+    for _, name, owner, _ in found:
+        if owner is not None:
+            owners.setdefault(name, set()).add(owner)
+    unused = []
+    for qualified, name, owner, static in found:
+        if owner is None:
+            keys = {name, "." + name}
+        elif static and len(owners[name]) > 1:
+            keys = {owner + "." + name}
+        else:
+            keys = {"." + name}
+        if not keys & used:
+            unused.append(qualified)
+    return unused
 
 
 def caller_files():
@@ -113,12 +159,8 @@ def caller_files():
 
 
 def test_every_definition_has_a_caller_outside_unit_tests():
-    used = set().union(*(loaded_names(path.read_text()) for path in caller_files()))
-    unused = [qualified
-              for path in sorted(PACKAGE.glob("*.py"))
-              for qualified, name in definitions(path.read_text(), path.stem)
-              if name not in used]
-    assert unused == []
+    modules = [(path.stem, path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    assert uncalled(modules, [path.read_text() for path in caller_files()]) == []
 
 
 def test_the_definition_scan_sees_every_kind_of_load():
@@ -126,15 +168,39 @@ def test_the_definition_scan_sees_every_kind_of_load():
         "class A:\n"
         "    def m(self): pass\n"
         "    def __repr__(self): pass\n"
+        "    def local(self): pass\n"
+        "    @staticmethod\n"
+        "    def make(): pass\n"
+        "    @staticmethod\n"
+        "    def build(): pass\n"
+        "class C:\n"
+        "    @staticmethod\n"
+        "    def make(): pass\n"
+        "    @staticmethod\n"
+        "    def build(): pass\n"
         "def f(): pass\n"
         "def g(): pass\n"
         "def h(): pass\n"
         "def k(): pass\n"
     )
-    assert [q for q, _ in definitions(source, "mod")] == ["mod.A", "mod.A.m", "mod.f", "mod.g",
-                                                          "mod.h", "mod.k"]
-    used = loaded_names("from mod import A as B\nB().m()\ngetattr(B, 'f')\nh = 1\n")
-    assert {"A", "m", "f"} <= used and "h" not in used and "g" not in used
+    assert [q for q, *_ in definitions(source, "mod")] == [
+        "mod.A", "mod.A.m", "mod.A.local", "mod.A.make", "mod.A.build",
+        "mod.C", "mod.C.make", "mod.C.build", "mod.f", "mod.g", "mod.h", "mod.k"]
+    caller = (
+        "from mod import A as B, C\n"
+        "B().m()\n"
+        "getattr(B, 'f')\n"
+        "h = 1\n"
+        "local = 2\n"
+        "print(local)\n"
+        "C.make()\n"
+        "B.build()\n"
+        "C.build()\n"
+    )
+    # a method read only as a local variable, and a static method read only
+    # through another class that defines its name, are flagged
+    assert uncalled([("mod", source)], [caller]) == ["mod.A.local", "mod.A.make", "mod.g",
+                                                     "mod.h", "mod.k"]
 
 
 def modules_loaded(script):

@@ -49,9 +49,13 @@ def is_identity(phi):
     return all(img.is_vertex() and img.vertex == v for v, img in phi.vertex_images.items())
 
 
+def identity(tree):
+    return TreeIsometry(tree, {v: tree.vertex_point(v) for v in tree.vertices})
+
+
 def test_identity_fixes_everything():
     t = tripod()
-    ident = TreeIsometry.identity(t)
+    ident = identity(t)
     for v in t.vertices:
         assert ident.apply(t.vertex_point(v)) == t.vertex_point(v)
     p = t.edge_point("e0", 1)
@@ -73,7 +77,7 @@ def test_unit_edge_flip_is_inversion():
     assert cls.length.is_zero()
     # the flipped segment is the whole edge, length 1, and 1 is odd in Z
     assert cls.flipped_length == Z1.element(1)
-    ends = {cls.flipped_segment.p, cls.flipped_segment.q}
+    ends = {cls.flipped_segment.start, cls.flipped_segment.end}
     assert ends == {t.vertex_point("v0"), t.vertex_point("v1")}
 
 
@@ -88,8 +92,8 @@ def test_inversion_whose_square_fixes_a_non_segment():
     cls = swap.classify()
     assert cls.kind == "inversion"
     assert cls.length.is_zero()
-    assert cls.flipped_segment.p == t.vertex_point("a1")
-    assert cls.flipped_segment.q == t.vertex_point("d1")
+    assert cls.flipped_segment.start == t.vertex_point("a1")
+    assert cls.flipped_segment.end == t.vertex_point("d1")
     assert cls.flipped_length == Z1.element(3)
 
 
@@ -233,7 +237,7 @@ def test_common_fixed_point_of_leg_swaps():
 
 def test_common_fixed_point_of_identities():
     t = tripod()
-    ident = TreeIsometry.identity(t)
+    ident = identity(t)
     got = common_fixed_point(ident, ident)
     assert got == t.vertex_point("c")  # canonical choice: least vertex name
 
@@ -328,15 +332,17 @@ def test_fractional_translation_round_trips_json():
             "v1": t.edge_point("e1", Fraction(1, 2)),
         },
     )
-    blob = phi.to_json()
-    assert blob == {
+    back = TreeIsometry.from_json(t, {
         "map": {
             "v0": {"edge": "e0", "offset": ["1/2"]},
             "v1": {"edge": "e1", "offset": ["1/2"]},
         }
-    }
-    back = TreeIsometry.from_json(t, blob)
+    })
     assert back == phi
+    assert {v: img.to_json() for v, img in back.vertex_images.items()} == {
+        "v0": {"edge": "e0", "offset": ["1/2"]},
+        "v1": {"edge": "e1", "offset": ["1/2"]},
+    }
     cls = phi.classify()
     assert cls.kind == "hyperbolic"
     assert cls.tau == D1.element(Fraction(1, 2))

@@ -91,12 +91,12 @@ def test_point_normalization_and_validation():
 
 def test_segment_examples():
     T = unit_tripod()
-    seg = T.segment(T.vertex_point("a"), T.vertex_point("b"))
+    seg = T.path_walk(T.vertex_point("a"), T.vertex_point("b"))
     assert seg.length == Z1.element(2)
-    assert seg.walk.interior_vertices() == ["c"]
-    degenerate = T.segment(T.vertex_point("a"), T.vertex_point("a"))
+    assert seg.interior_vertices() == ["c"]
+    degenerate = T.path_walk(T.vertex_point("a"), T.vertex_point("a"))
     assert degenerate.length == Z1.element(0)
-    assert degenerate.walk.interior_vertices() == []
+    assert degenerate.interior_vertices() == []
 
 
 def test_segment_intersection_is_segment():
@@ -104,8 +104,8 @@ def test_segment_intersection_is_segment():
     T = unit_tripod()
     p, q, r = (T.vertex_point(v) for v in ("a", "b", "x"))
     m = T.median(p, q, r)
-    sq = T.segment(p, q)
-    sr = T.segment(p, r)
+    sq = T.path_walk(p, q)
+    sr = T.path_walk(p, r)
     assert sq.contains(m) and sr.contains(m)
     # beyond the median the segments separate
     beyond = sq.point_at(T.distance(p, m) + Z1.element(1))
@@ -132,7 +132,7 @@ def test_median_is_symmetric_and_on_all_segments():
         for pair in ((p, q, r), (q, r, p), (r, p, q), (q, p, r)):
             assert T.median(*pair) == m
         for x, y in ((p, q), (q, r), (p, r)):
-            assert T.segment(x, y).contains(m)
+            assert T.path_walk(x, y).contains(m)
 
 
 def test_base_change_examples():

@@ -160,7 +160,7 @@ def invalid_points(tree):
 @given(cases(1))
 def test_invalid_points_raise_the_oracle_message(case):
     tree, (p,) = case
-    identity = TreeIsometry.identity(tree)
+    identity = TreeIsometry(tree, {v: tree.vertex_point(v) for v in tree.vertices})
     whole = Subtree(tree, tree.vertices)
     for bad in invalid_points(tree):
         want = outcome(lambda: ref.point(tree, bad))

@@ -248,8 +248,13 @@ def test_canonical_mod_digit_values():
 
 
 def test_field_json_round_trip():
-    for field in (Q2, FT0, FT1, FTINF):
-        assert ValuedField.from_json(field.to_json()) == field
+    for blob, field in (
+        ({"field": "Q", "p": 2}, Q2),
+        ({"field": "Q(t)", "at": "0"}, FT0),
+        ({"field": "Q(t)", "at": "1"}, FT1),
+        ({"field": "Q(t)", "at": "inf"}, FTINF),
+    ):
+        assert ValuedField.from_json(blob) == field
 
 
 def test_element_strings_round_trip_through_field():
