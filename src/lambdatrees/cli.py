@@ -108,7 +108,7 @@ def _point_from_json(obj):
     exact = obj.get("exact", True)
     if not isinstance(exact, bool):
         raise DomainError(f'limit "exact" must be true or false, not {exact!r}')
-    raw = _need(obj, "coords")
+    raw = _need_list(obj, "coords", 'limit "coords"')
     if exact:
         coords = [bounded_fraction(str(c)) for c in raw]
     else:

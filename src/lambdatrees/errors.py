@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one JSON list guard.
 
 Every error raised by library code derives from LambdaTreeError, and the
 class name doubles as the machine-readable error code emitted by the CLI.
@@ -95,3 +95,10 @@ class NotSupportedAtInfinity(LambdaTreeError):
 
 class ClassListMismatch(LambdaTreeError):
     """Two projective points list different conjugacy classes."""
+
+
+def _not_text(value, what: str):
+    """value, refused when it is a string, which would iterate by character."""
+    if isinstance(value, str):
+        raise TypeError(f"{what} must be a list, not a string")
+    return value

@@ -21,6 +21,7 @@ from .errors import (
     NotConnected,
     NotTransitive,
     SymbolError,
+    _not_text,
 )
 from .words import (
     Word,
@@ -73,8 +74,9 @@ class Presentation:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Presentation":
-        return Presentation.make(obj["gens"], obj["rels"])
+    def from_json(obj: dict, label: str) -> "Presentation":
+        gens = _not_text(obj["gens"], f"{label} gens")
+        return Presentation.make(gens, _not_text(obj["rels"], f"{label} rels"))
 
 
 def _parse_attachment(group: Presentation, mapping, label: str) -> Dict[str, Word]:
@@ -156,13 +158,15 @@ class GraphOfGroups:
     def from_json(obj: dict) -> "GraphOfGroups":
         if not isinstance(obj["vertices"], dict):
             raise TypeError("graph vertices must be an object from names to presentations")
-        vertices = {v: Presentation.from_json(p) for v, p in obj["vertices"].items()}
+        vertices = {
+            v: Presentation.from_json(p, f"vertex {v!r}") for v, p in obj["vertices"].items()
+        }
         edges = [
             GroupEdge.make(
                 spec["id"],
                 spec["from"],
                 spec["to"],
-                Presentation.from_json(spec["group"]),
+                Presentation.from_json(spec["group"], f"edge {spec['id']!r} group"),
                 spec.get("into_from", {}),
                 spec.get("into_to", {}),
             )
@@ -409,7 +413,7 @@ class CosetAction:
         norm: Dict[str, Tuple[int, ...]] = {}
         for sym, images in perms.items():
             check_symbol(sym)
-            images = tuple(int(i) for i in images)
+            images = tuple(int(i) for i in _not_text(images, f"images of {sym!r}"))
             if len(images) != degree or sorted(images) != list(range(1, degree + 1)):
                 raise DomainError(f"images of {sym!r} are not a permutation of 1..{degree}")
             norm[sym] = images

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._walk import _breadth_first, _components
-from .errors import DomainError, GroupMismatch, InvalidEdge, InvalidPoint
+from .errors import DomainError, GroupMismatch, InvalidEdge, InvalidPoint, _not_text
 from .ordered import (
     ConvexSubgroup,
     LambdaElement,
@@ -392,12 +392,6 @@ def _graph_from_json(obj) -> Tuple[LambdaGroup, List[str], list]:
         length = LambdaElement.from_json(_not_text(rec["len"], f"edge e{i} len"), group)
         edges.append((str(rec["a"]), str(rec["b"]), length))
     return group, vertices, edges
-
-
-def _not_text(value, what: str):
-    if isinstance(value, str):
-        raise TypeError(f"{what} must be a list, not a string")
-    return value
 
 
 def _structural_report(group, vertices, edges) -> Optional[dict]:

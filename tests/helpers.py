@@ -35,3 +35,19 @@ def ratio_by_counting(x, y, bound=1000):
     if saturated and best == Fraction(bound, 1):
         return "inf"
     return best
+
+
+def arc_length(sub):
+    """The summed length of a subtree's arcs; member vertices add nothing."""
+    total = sub.tree.group.zero()
+    for spans in sub.arcs.values():
+        for lo, hi in spans:
+            total = total + (hi - lo)
+    return total
+
+
+def diameter(sub):
+    """The largest distance between two of a subtree's boundary points."""
+    points = sub.boundary_points()
+    return max((sub.tree.distance(p, q) for p in points for q in points),
+               default=sub.tree.group.zero())

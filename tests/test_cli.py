@@ -59,6 +59,42 @@ def test_classify_isometry_unit_flip(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
+# a translation by 2 along c3-c5 restricted to x, c3 and x3; x is 1 off the axis
+RESTRICTED_SHIFT_TREE = {
+    "group": {"rank": 1},
+    "vertices": ["x", "c3", "x3", "c5", "x5"],
+    "edges": [
+        {"a": "x", "b": "c3", "len": ["3"]},
+        {"a": "c3", "b": "x3", "len": ["1"]},
+        {"a": "c3", "b": "c5", "len": ["2"]},
+        {"a": "c5", "b": "x5", "len": ["1"]},
+    ],
+}
+
+
+def test_classify_isometry_reads_the_length_the_length_function_gives(tmp_path, capsys):
+    isometry = {"map": {"x": "x3", "c3": "c5", "x3": "x5"}}
+    task = write_task(tmp_path, "shift.json", {
+        "command": "classify-isometry",
+        "payload": {"tree": RESTRICTED_SHIFT_TREE, "isometry": isometry},
+    })
+    code, out, err = run_cli(["--task", task], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "kind": "hyperbolic",
+        "length": ["2"],
+        "tau": ["2"],
+        "axis": {"vertices": ["c3"], "arcs": [{"edge": "e0", "from": ["1"], "to": ["3"]}]},
+    }
+    task = write_task(tmp_path, "length.json", {
+        "command": "length-function",
+        "payload": {"action": {"type": "tree", "tree": RESTRICTED_SHIFT_TREE,
+                               "isometries": {"g": isometry}}, "classes": ["g"]},
+    })
+    code, out, _ = run_cli(["--task", task], capsys)
+    assert code == 0 and json.loads(out)["values"] == [["2"]]
+
+
 def test_tree_distance_with_interior_point(tmp_path, capsys):
     task = write_task(tmp_path, "dist.json", {
         "command": "tree-distance",
@@ -760,6 +796,22 @@ HOSTILE_TASKS = {
         json.dumps({"command": "mu", "payload": {
             "field": Q2, "matrices": {"a": "1001"}, "classes": ["a"]}}),
         1, None, 'bad payload for mu: matrices "a" must be a list, not a string'),
+    "perm-images-a-string": (
+        json.dumps({"command": "schreier-rank", "payload": {
+            "rank": 1, "action": {"degree": 2, "perms": {"a": "21"}}}}),
+        1, None, "bad payload for schreier-rank: "
+        "TypeError(\"images of 'a' must be a list, not a string\")"),
+    "presentation-a-string": (
+        json.dumps({"command": "fundamental-group", "payload": {"graph": {
+            "vertices": {"A": {"gens": "ab", "rels": "ab"}}, "edges": []}}}),
+        1, None, "bad payload for fundamental-group: "
+        "TypeError(\"vertex 'A' gens must be a list, not a string\")"),
+    "limit-coords-a-string": (
+        json.dumps({"command": "converge-check", "payload": {
+            "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"], "b": ["t", "1", "0", "1/t"]},
+            "parameters": [5, 9], "classes": ["a", "b"],
+            "limit": {"classes": ["a", "b"], "coords": "11"}}}),
+        1, None, 'bad payload for converge-check: limit "coords" must be a list, not a string'),
 }
 
 

@@ -56,7 +56,7 @@ def amalgam_pair():
 def test_presentation_construction_and_reduction():
     p = Presentation.make(["a", "b"], ["a a- b"])
     assert p.to_json() == {"gens": ["a", "b"], "rels": ["b"]}
-    assert Presentation.from_json(p.to_json()) == p
+    assert Presentation.from_json(p.to_json(), "vertex 'v'") == p
     assert Presentation.trivial().generators == ()
     assert Presentation.free("x", "y").relators == ()
     with pytest.raises(SymbolError):

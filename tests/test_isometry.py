@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lambdatrees.errors import NotAnIsometry, OrbitEscapesTree
+from lambdatrees.errors import DomainError, NotAnIsometry, OrbitEscapesTree
 from lambdatrees.isometry import (
     NoCommonFixedPoint,
     TreeIsometry,
@@ -14,6 +14,8 @@ from lambdatrees.isometry import (
 )
 from lambdatrees.ordered import LambdaGroup
 from lambdatrees.tree import LambdaTree, random_point
+
+from helpers import arc_length, diameter
 
 Z1 = LambdaGroup(1)
 D1 = LambdaGroup(1, dyadic=True)
@@ -64,7 +66,7 @@ def test_identity_fixes_everything():
     assert cls.kind == "elliptic"
     assert cls.length.is_zero()
     # the whole tree is fixed
-    assert cls.fixed_set.total_length() == t.group.element(6)
+    assert arc_length(cls.fixed_set) == t.group.element(6)
     assert is_identity(ident)
 
 
@@ -106,8 +108,20 @@ def test_flip_becomes_elliptic_over_dyadics():
     mid = t2.edge_point("e0", Fraction(1, 2))
     assert cls.fixed_set.contains(mid)
     # the midpoint is the only fixed point
-    assert cls.fixed_set.total_length().is_zero()
+    assert arc_length(cls.fixed_set).is_zero()
     assert cls.fixed_set.boundary_points() == [mid]
+
+
+def test_minimum_displacement_of_an_edge_flip_sits_at_its_midpoint():
+    # the image runs back along the edge, so the minimum lies inside it:
+    # 0 at the midpoint when that is a group point, and unattained otherwise
+    t = LambdaTree(Z1, ["v0", "v1"], [("v0", "v1", Z1.element(2))])
+    flip = vertex_map(t, {"v0": "v1", "v1": "v0"})
+    assert flip.minimum_displacement() == (Z1.zero(), t.edge_point("e0", 1))
+    t = LambdaTree(Z1, ["v0", "v1"], [("v0", "v1", Z1.element(1))])
+    flip = vertex_map(t, {"v0": "v1", "v1": "v0"})
+    with pytest.raises(DomainError, match="^displacement minimum is not attained at group points$"):
+        flip.minimum_displacement()
 
 
 def test_flip_reflects_quarter_point():
@@ -134,7 +148,23 @@ def test_translation_on_line_is_hyperbolic():
     assert cls.tau == Z1.element(1)
     assert cls.length == Z1.element(1)
     # the axis is the spanned part of the line
-    assert cls.axis.diameter() == cls.axis.total_length() == Z1.element(9)
+    assert diameter(cls.axis) == arc_length(cls.axis) == Z1.element(9)
+
+
+def test_restricted_translation_whose_square_keeps_one_vertex_is_hyperbolic():
+    # a translation by 2 along c3-c5; g o g maps only x, which lies 1 off
+    # the axis, so its displacement there is 6 rather than twice 2
+    t = LambdaTree(Z1, ["x", "c3", "x3", "c5", "x5"], [
+        ("x", "c3", Z1.element(3)), ("c3", "x3", Z1.element(1)),
+        ("c3", "c5", Z1.element(2)), ("c5", "x5", Z1.element(1)),
+    ])
+    g = vertex_map(t, {"x": "x3", "c3": "c5", "x3": "x5"})
+    assert list(compose(g, g).vertex_images) == ["x"]
+    cls = g.classify()
+    assert cls.kind == "hyperbolic"
+    assert cls.length == cls.tau == Z1.element(2)
+    assert cls.axis.vertices == {"c3"}
+    assert cls.axis.arcs == {"e0": [(Z1.element(1), Z1.element(3))]}
 
 
 def test_double_translation_doubles_length():
@@ -170,7 +200,7 @@ def test_swap_fixes_untouched_leg():
     assert fixed.contains(t.vertex_point("c"))
     assert fixed.contains(t.vertex_point("t3"))
     # exactly the third leg is fixed
-    assert fixed.total_length() == Z1.element(2)
+    assert arc_length(fixed) == Z1.element(2)
 
 
 def test_compose_with_inverse_is_identity():

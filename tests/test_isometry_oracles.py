@@ -13,6 +13,12 @@ automorphism that permutes identical branches, restricted to the subtree
 spanned by a random set of vertices, and shifts or mirrors of a path by
 whole and half edges, which send vertices to edge points.  A corrupted
 copy moves one image elsewhere, often onto another image.
+
+``classify`` is checked against the automorphism a map was cut from: a
+translation of a periodic tree, or a map that permutes identical branches,
+restricted to a few vertices on the tree those vertices and their images
+span, with the vertices of degree two among neither merged away, so a
+branch point of the axis can fall inside an edge.
 """
 
 import itertools
@@ -21,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isometry_reference as ref
-from lambdatrees.errors import LambdaTreeError
+from lambdatrees.errors import LambdaTreeError, OrbitEscapesTree
 from lambdatrees.isometry import TreeIsometry
 from lambdatrees.ordered import LambdaGroup, half_in_group, in_two_lambda
 from lambdatrees.tree import LambdaTree, TreePoint
@@ -153,3 +159,85 @@ def test_local_check_profile_and_distance_match_the_slow_paths(case):
             continue
         for p in points(tree):
             assert sub.distance_to(p) == sub._nearest(p)[0]
+
+
+@st.composite
+def periodic_translations(draw):
+    """A path of whole periods of drawn edge lengths, with a thorn at each
+    vertex whose place in the period drew one, and its shift by whole
+    periods: (tree, image names, kind, translation length)."""
+    group = draw(st.sampled_from(GROUPS))
+    period = draw(st.integers(1, 3))
+    steps = [draw(lengths(group)) for _ in range(period)]
+    thorns = [draw(st.none() | lengths(group)) for _ in range(period)]
+    periods = draw(st.integers(2, 4))
+    n = period * periods
+    vertices = [f"a{i}" for i in range(n + 1)]
+    edges = [(f"a{i}", f"a{i + 1}", steps[i % period]) for i in range(n)]
+    for i in range(n + 1):
+        if thorns[i % period] is not None:
+            vertices.append(f"t{i}")
+            edges.append((f"a{i}", f"t{i}", thorns[i % period]))
+    moved = draw(st.integers(1, periods - 1))
+    k = period * moved * draw(st.sampled_from([1, -1]))
+    images = {v: f"{v[0]}{int(v[1:]) + k}" for v in vertices}
+    images = {v: w for v, w in images.items() if w in vertices}
+    return LambdaTree(group, vertices, edges), images, "hyperbolic", moved * sum(steps, group.zero())
+
+
+@st.composite
+def branch_permutations(draw):
+    """automorphisms() with its kind: it fixes the centre, or swaps the two
+    roots and so fixes the joining edge's midpoint or inverts that edge."""
+    tree, images = draw(automorphisms())
+    images = {v: p.vertex for v, p in images.items()}
+    kind = "elliptic"
+    if "c" not in tree.vertices and images["x0n0"] == "x1n0":
+        if not in_two_lambda(tree.vertex_distance("x0n0", "x1n0")):
+            kind = "inversion"
+    return tree, images, kind, tree.group.zero()
+
+
+def spanned(tree, named):
+    """The subtree spanned by the named vertices, with every other vertex of
+    degree two merged into the edge through it."""
+    root = min(named)
+    keep = {v for u in named for v in tree.vertex_path(u, root)}
+    around = {
+        v: [(w, tree.edges[eid].length) for eid, w in tree.adjacency[v] if w in keep]
+        for v in keep
+    }
+    nodes = {v for v in keep if v in named or len(around[v]) != 2}
+    edges = []
+    for v in sorted(nodes):
+        for w, length in around[v]:
+            prev = v
+            while w not in nodes:
+                (nxt, step), = [(u, d) for u, d in around[w] if u != prev]
+                prev, w, length = w, nxt, length + step
+            if v < w:
+                edges.append((v, w, length))
+    return LambdaTree(tree.group, sorted(nodes), edges)
+
+
+@st.composite
+def cut_automorphisms(draw):
+    tree, images, kind, length = draw(st.one_of(periodic_translations(), branch_permutations()))
+    domain = draw(st.lists(st.sampled_from(sorted(images)), min_size=1, max_size=4, unique=True))
+    small = spanned(tree, set(domain) | {images[v] for v in domain})
+    return TreeIsometry(small, {v: small.vertex_point(images[v]) for v in domain}), kind, length
+
+
+@EXACT
+@given(cut_automorphisms())
+def test_classify_matches_the_automorphism_a_map_was_cut_from(case):
+    phi, kind, length = case
+    try:
+        cls = phi.classify()
+    except OrbitEscapesTree as exc:
+        assert str(exc) == "composite has empty domain"
+        return
+    assert (cls.kind, cls.length) == (kind, length)
+    if kind == "hyperbolic":
+        assert not cls.axis.is_empty()
+        assert all(phi.displacement(p) == length for p in cls.axis.boundary_points())
