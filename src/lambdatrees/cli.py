@@ -138,6 +138,8 @@ def _run_check_axioms(payload, args):
     from .tree import check_axioms
 
     candidate = _need(payload, "tree")
+    if not isinstance(candidate, dict):
+        raise PayloadError("tree must be an object")
     samples = payload.get("samples", 50)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise PayloadError("samples must be a nonnegative integer")

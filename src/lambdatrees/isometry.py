@@ -410,13 +410,6 @@ class TreeIsometry:
             raise OrbitEscapesTree("inverse has empty domain")
         return images
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TreeIsometry)
-            and other.tree is self.tree
-            and other.vertex_images == self.vertex_images
-        )
-
     # -- displacement profiles ---------------------------------------------------
 
     def _edge_pieces(self, eid: str, shift: Dict[str, LambdaElement]):
@@ -530,21 +523,22 @@ class TreeIsometry:
 
     def classify(self) -> IsometryClass:
         """Elliptic when g fixes a point of its mapped subtree, else
-        hyperbolic when two_point_length certifies a value, else an inversion
+        hyperbolic when two_point_length is positive, else an inversion
         read off Fix(g^2).
 
-        Once Fix(g) is empty a certified value is positive, since elliptic
-        and inversion extensions have d(x, g^2x) <= d(x, gx).  With no
-        certificate g^2 has an empty domain, and compose raises, or g swaps
-        the ends of the tree edge holding the midpoint of some [x, gx], an
-        edge Fix(g^2) then holds.
+        Once Fix(g) is empty, a length of 0 means an inversion: an elliptic
+        extension would fix the projection of the vertex x that
+        two_point_length reads onto its fixed set, a point of [x, gx] inside
+        the mapped subtree.  g then swaps the ends of the tree edge holding
+        the midpoint of [x, gx], an edge Fix(g^2) holds.  With no length, g
+        maps no vertex twice, so g^2 has an empty domain and compose raises.
         """
         zero = self.tree.group.zero()
         fixed = self.fixed_set()
         if not fixed.is_empty():
             return IsometryClass("elliptic", zero, fixed_set=fixed)
         tau = two_point_length([self])
-        if tau is not None:
+        if tau is not None and tau > zero:
             return IsometryClass("hyperbolic", tau, tau=tau, axis=self.level_set(tau))
         fixed2 = self.compose(self).fixed_set()
         # the longest segment g flips: from the first extreme point of
@@ -613,21 +607,15 @@ def _word_image(letters: Sequence[TreeIsometry], p: TreePoint) -> Optional[TreeP
 
 
 def two_point_length(letters: Sequence[TreeIsometry]) -> Optional[LambdaElement]:
-    """Translation length of letters[0] o ... o letters[-1], certified, or None.
+    """Translation length of letters[0] o ... o letters[-1], or None.
 
-    Takes the first vertex x of the tree whose images gx and g^2x are
-    defined letter by letter and reads l = max(0, d(x, g^2x) - d(x, gx)).
-    Each letter is the restriction of an isometry of a larger tree, and
-    the word then extends to an isometry G of that tree which agrees with
-    every letter-by-letter image; by Culler-Morgan, l(G) is this value at
-    any point x, whatever extension is taken.  The point y at
-    (d(x, gx) - l)/2 along [x, gx] projects x onto the axis, or onto the
-    fixed set when l = 0, and the length is returned only when y
-    certifies that this set meets the tree: gy = y for l = 0; for l > 0,
-    d(y, gy) = l with g^2y also defined.  None means no certificate: no
-    such x, a y outside the group (an inversion over a non-dyadic group),
-    or a y that escapes or fails its check; the caller then composes and
-    classifies.
+    Reads l = max(0, d(x, g^2x) - d(x, gx)) at the first vertex x of the
+    tree whose images gx and g^2x are defined letter by letter, and gives
+    None when there is no such vertex.  Each letter is the restriction of
+    an isometry of a larger tree, so wherever the letter-by-letter images
+    exist the word agrees with G, the composite of any extensions of the
+    letters; by Culler-Morgan l(G) is this value at any point where G^2 is
+    defined, and it is positive exactly when G is hyperbolic.
     """
     tree = letters[0].tree
     for v in tree.vertices:
@@ -636,22 +624,8 @@ def two_point_length(letters: Sequence[TreeIsometry]) -> Optional[LambdaElement]
         if gx is not None:
             g2x = _word_image(letters, gx)
             if g2x is not None:
-                break
-    else:
-        return None
-    moved = tree.distance(x, gx)
-    length = max(tree.group.zero(), tree.distance(x, g2x) - moved)
-    if not in_two_lambda(moved - length):
-        return None
-    y = tree.path_walk(x, gx).point_at(half_in_group(moved - length))
-    gy = _word_image(letters, y)
-    if gy is None:
-        return None
-    if length.is_zero():
-        return length if gy == y else None
-    if _word_image(letters, gy) is None or tree.distance(y, gy) != length:
-        return None
-    return length
+                return max(tree.group.zero(), tree.distance(x, g2x) - tree.distance(x, gx))
+    return None
 
 
 def common_fixed_point(phi: TreeIsometry, psi: TreeIsometry):

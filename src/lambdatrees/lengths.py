@@ -25,6 +25,7 @@ from .errors import (
     FieldMismatch,
     LambdaTreeError,
     NotSupportedAtInfinity,
+    OrbitEscapesTree,
     SymbolError,
     TreeMismatch,
     TrivialAction,
@@ -178,12 +179,11 @@ def _as_classes(classes, generators) -> Tuple[ConjClass, ...]:
 def _tree_length(action: Dict[str, TreeIsometry], word: Word) -> LambdaElement:
     letters = [action[sym] if sign == 1 else action[sym].inverse() for sym, sign in word]
     length = two_point_length(letters)
-    if length is not None:
-        return length
-    acc = letters[0]
-    for step in letters[1:]:
-        acc = acc.compose(step)
-    return acc.classify().length
+    if length is None:
+        # no vertex is mapped twice letter by letter, so the word's square
+        # maps no vertex either
+        raise OrbitEscapesTree("composite has empty domain")
+    return length
 
 
 def _matrix_word(action: Dict[str, Mat2], word: Word) -> Mat2:
@@ -213,8 +213,9 @@ def length_function(action: dict, classes: Sequence) -> ClassFunction:
 
     The action maps generator symbols either to TreeIsometry values on a
     common tree or to Mat2 values over a common valued field; negative
-    letters use inverses.  A tree length comes from two_point_length when
-    it certifies one, and from classify() on the composed word otherwise.
+    letters use inverses.  A tree length is two_point_length of the class
+    word, read letter by letter; a word that maps no vertex twice raises
+    OrbitEscapesTree, and the error names the class.
     """
     if not action:
         raise DomainError("empty action")

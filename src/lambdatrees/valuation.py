@@ -41,22 +41,11 @@ class _Infinity:
     def __lt__(self, other):
         return False
 
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
     def __eq__(self, other):
         return isinstance(other, _Infinity)
 
     def __hash__(self):
         return hash("infinity-sentinel")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        raise DomainError("negated infinity is not a valuation value")
 
     def __repr__(self):
         return "INFINITY"
@@ -134,12 +123,6 @@ class Polynomial:
 
     def __neg__(self):
         return _poly([-c for c in self._num], self._den)
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -331,12 +314,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _as_rf(other)
         if other is None:
@@ -352,12 +329,6 @@ class RationalFunction:
         if other.is_zero():
             raise DomainError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, k: int):
         if k < 0:

@@ -95,6 +95,31 @@ def test_classify_isometry_reads_the_length_the_length_function_gives(tmp_path, 
     assert code == 0 and json.loads(out)["values"] == [["2"]]
 
 
+# g reverses the path q0..q5; g h h is the reflection x -> 35 - x of [10, 25]
+MIRROR_TREE = {
+    "group": {"rank": 1},
+    "vertices": ["q0", "q1", "q4", "q5"],
+    "edges": [
+        {"a": "q0", "b": "q1", "len": ["5"]},
+        {"a": "q1", "b": "q4", "len": ["15"]},
+        {"a": "q4", "b": "q5", "len": ["5"]},
+    ],
+}
+
+
+def test_length_function_gives_an_inversion_length_zero_past_the_composite(tmp_path, capsys):
+    isometries = {"g": {"map": {"q0": "q5", "q1": "q4", "q4": "q1", "q5": "q0"}},
+                  "h": {"map": {"q1": "q0", "q5": "q4"}}}
+    task = write_task(tmp_path, "mirror.json", {
+        "command": "length-function",
+        "payload": {"action": {"type": "tree", "tree": MIRROR_TREE, "isometries": isometries},
+                    "classes": ["g", "h", "g h h"]},
+    })
+    code, out, err = run_cli(["--task", task], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"classes": ["g", "h", "g h h"], "values": [["0"], ["5"], ["0"]]}
+
+
 def test_tree_distance_with_interior_point(tmp_path, capsys):
     task = write_task(tmp_path, "dist.json", {
         "command": "tree-distance",
@@ -806,6 +831,12 @@ HOSTILE_TASKS = {
             "vertices": {"A": {"gens": "ab", "rels": "ab"}}, "edges": []}}}),
         1, None, "bad payload for fundamental-group: "
         "TypeError(\"vertex 'A' gens must be a list, not a string\")"),
+    "axioms-tree-a-string": (
+        json.dumps({"command": "check-axioms", "payload": {"tree": "abc"}}),
+        1, None, "bad payload for check-axioms: tree must be an object"),
+    "axioms-tree-a-triple": (
+        json.dumps({"command": "check-axioms", "payload": {"tree": [{"rank": 1}, ["a"], []]}}),
+        1, None, "bad payload for check-axioms: tree must be an object"),
     "limit-coords-a-string": (
         json.dumps({"command": "converge-check", "payload": {
             "field": QT_INF, "family": {"a": ["t", "0", "0", "1/t"], "b": ["t", "1", "0", "1/t"]},

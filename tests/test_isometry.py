@@ -217,7 +217,7 @@ def test_compose_is_associative():
     s12, s23, s13 = leg_swap(t, 1, 2), leg_swap(t, 2, 3), leg_swap(t, 1, 3)
     left = compose(compose(s12, s23), s13)
     right = compose(s12, compose(s23, s13))
-    assert left == right
+    assert left.vertex_images == right.vertex_images
 
 
 def test_elliptic_displacement_is_twice_distance_to_fixed_set():
@@ -368,7 +368,7 @@ def test_fractional_translation_round_trips_json():
             "v1": {"edge": "e1", "offset": ["1/2"]},
         }
     })
-    assert back == phi
+    assert back.vertex_images == phi.vertex_images
     assert {v: img.to_json() for v, img in back.vertex_images.items()} == {
         "v0": {"edge": "e0", "offset": ["1/2"]},
         "v1": {"edge": "e1", "offset": ["1/2"]},

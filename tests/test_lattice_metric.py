@@ -49,7 +49,7 @@ def generators(field):
     """diag(pi, 1/pi), the two unipotents and [[0, 1], [-1, 0]], with inverses."""
     pi = field.uniformizer()
     gens = [
-        Mat2.of(field, pi, 0, 0, 1 / pi),
+        Mat2.of(field, pi, 0, 0, field.one() / pi),
         Mat2.of(field, 1, 1, 0, 1),
         Mat2.of(field, 1, 0, 1, 1),
         Mat2.of(field, 0, 1, -1, 0),

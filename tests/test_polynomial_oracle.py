@@ -80,7 +80,7 @@ def test_polynomial_arithmetic_matches_the_oracle(a, b, c):
         p, q, common = poly(a), poly(b), poly(c)
         pc, qc = p * common, q * common  # so that gcds are not all 1
         return [
-            shown(pc), shown(pc - qc), hash(pc), pc == qc, p + q == q + p, p == poly(b),
+            shown(pc), shown(pc + -qc), hash(pc), pc == qc, p + q == q + p, p == poly(b),
             shown(outcome(lambda: pc.gcd(qc))), shown(outcome(lambda: qc.gcd(p))),
             [shown(x) for x in outcome(lambda: pc.divmod(q))],
             [shown(x) for x in outcome(lambda: p.divmod(qc))],

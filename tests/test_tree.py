@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,34 @@ def test_check_axioms_accepts_valid_trees():
         T = random_tree(rng, Z1)
         report = check_axioms(T, sample_size=10, seed=1)
         assert report["valid"], report
+
+
+def test_check_axioms_names_each_sampled_witness_of_a_corrupted_metric(monkeypatch):
+    # the structural screen passes a tripod; each corruption of its metric
+    # then fails one sampled axiom
+    assert check_axioms(unit_tripod(), sample_size=30, seed=3) == {
+        "valid": True, "axiom": None, "witness": None, "samples": 30}
+    one = Z1.element(1)
+    distance = LambdaTree.distance
+    corruptions = {
+        # every distance one too long: no segment realizes it
+        "a": ("distance", lambda self, p, q: distance(self, p, q) + one,
+              r"^segment .+\.\..+ does not realize the distance$", 0),
+        # the median of p, q, r reported as r, off the segment [p, q]
+        "b": ("median", lambda self, p, q, r: r,
+              r"^median of .+,.+,.+ escapes a defining segment$", 3),
+        # the median reported as p, on both segments from p but off [q, r]
+        "c": ("median", lambda self, p, q, r: p,
+              r"^segments .+\.\..+ and .+\.\..+ do not concatenate$", 0),
+    }
+    # samples counts the sampled triples that passed before the witness
+    for axiom, (name, corrupt, witness, passed) in corruptions.items():
+        with monkeypatch.context() as patched:
+            patched.setattr(LambdaTree, name, corrupt)
+            report = check_axioms(unit_tripod(), sample_size=30, seed=3)
+        assert (report["valid"], report["axiom"]) == (False, axiom)
+        assert re.match(witness, report["witness"]), report
+        assert report["samples"] == passed
 
 
 def test_check_axioms_rejects_cycle():

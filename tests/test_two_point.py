@@ -1,15 +1,15 @@
 """The two-point length formula against compose-then-classify.
 
-two_point_length returns a translation length only with a certificate,
-and length_function falls back to composing the word and classifying it
-otherwise.  The oracle here is that fallback: on every generated word
-where it gives a length the certified value must equal it, and whenever
-the certificate is refused the fallback's value or error class stands.
-Where the fallback raises because the composite keeps only part of the
-word's domain, and on one-letter words, whose classification reads this
-same certificate, the certified value is checked against the
-Culler-Morgan formula at every vertex the word maps twice letter by
-letter.
+two_point_length reads max(0, d(x, g^2x) - d(x, gx)) at the first vertex x
+the word maps twice letter by letter, and length_function takes that value
+as the class's length.  The oracle here is the path it replaced: composing
+the word and classifying it.  On every generated word where that path gives
+a length the two-point value must equal it; where the word maps no vertex
+twice the composite must fail as well.  Where the composite fails although
+the word maps a vertex twice, because it keeps only part of the word's
+domain, and on one-letter words, whose classification reads this same
+value, the value is checked against the Culler-Morgan formula at every
+vertex the word maps twice letter by letter.
 """
 
 import collections
@@ -181,7 +181,7 @@ def all_pairs_inverse(phi):
 
 
 def compose_then_classify(letters):
-    """The fallback path: its length, or the class of the error it raises."""
+    """The word composed and classified: its length, or the class of the error it raises."""
     try:
         acc = letters[0]
         for step in letters[1:]:
@@ -231,14 +231,15 @@ def test_two_point_length_matches_classify_on_generated_words():
             fast = two_point_length(letters)
             slow = compose_then_classify(letters)
             if fast is None:
-                outcomes["fallback"] += 1
+                # no vertex is mapped twice, so the composite's square maps none
+                assert slow is OrbitEscapesTree, (builder.__name__, group, word, slow)
+                outcomes["no vertex mapped twice"] += 1
                 continue
             if len(letters) == 1 or isinstance(slow, type):
                 # classify reads a single letter's length off this very
-                # certificate; and the composite keeps only the
-                # vertex-spanned part of the word's domain.  Either way the
-                # certified value is the length every extension of the
-                # letters has
+                # value; and the composite keeps only the vertex-spanned
+                # part of the word's domain.  Either way the value is the
+                # length every extension of the letters has
                 values = culler_morgan_values(tree, letters)
                 assert values and set(values) == {fast}, (builder.__name__, group, word, fast, values)
                 if len(letters) == 1:
@@ -247,8 +248,8 @@ def test_two_point_length_matches_classify_on_generated_words():
                     beyond_the_composite += 1
                 continue
             assert fast == slow, (builder.__name__, group, word, fast, slow)
-            outcomes["certified zero" if fast.is_zero() else "certified positive"] += 1
-    # every branch of the certificate is exercised, and so is the fallback
+            outcomes["zero" if fast.is_zero() else "positive"] += 1
+    # every kind of outcome is exercised
     assert min(outcomes.values()) >= 50, outcomes
     assert beyond_the_composite > 0
 
@@ -297,25 +298,76 @@ def test_compose_lists_each_inner_hull_vertex_the_outer_map_holds():
 def test_cayley_classes_within_radius_never_fall_back(radius):
     tree, action = free_group_action(["a", "b"], radius)
     inverses = {s: action[s].inverse() for s in action}
-    fallbacks = 0
+    unmapped = 0
     classes = enumerate_classes(["a", "b"], radius)
     for c in classes:
         letters = [action[s] if e == 1 else inverses[s] for s, e in c.word]
         length = two_point_length(letters)
         if length is None:
-            fallbacks += 1
+            unmapped += 1
         else:
             assert length == tree.group.element(len(c)), c.text
-    assert fallbacks == 0, f"{fallbacks} of {len(classes)} classes fell back"
+    assert unmapped == 0, f"{unmapped} of {len(classes)} classes map no vertex twice"
 
 
-def test_inversion_over_non_dyadic_group_falls_back_to_length_zero():
+def test_inversion_over_non_dyadic_group_has_length_zero():
+    # the midpoint of the flipped path is no group point, and the value
+    # needs none
     group = LambdaGroup(1)
     tree = path_tree(group, 3, group.element(1))
     flip = vertex_map(tree, {f"p{i}": f"p{3 - i}" for i in range(4)})
-    assert two_point_length([flip]) is None
+    assert two_point_length([flip]) == group.zero()
     assert flip.classify().kind == "inversion"
     assert length_function({"g": flip}, ["g"]).values == (group.zero(),)
+
+
+def test_inversion_whose_composite_loses_its_domain_has_length_zero():
+    # g reverses the path q0..q5 and h moves q1 to q0 and q5 to q4, so
+    # g h h is the reflection x -> 35 - x of [10, 25], an inversion about
+    # 17.5.  The vertex-only composite keeps q4 and q5 and maps both off
+    # [q4, q5], so its square has an empty domain; letter by letter the
+    # word maps q4 and q5 twice
+    group = LambdaGroup(1)
+    tree = LambdaTree(group, ["q0", "q1", "q4", "q5"], [
+        ("q0", "q1", group.element(5)), ("q1", "q4", group.element(15)),
+        ("q4", "q5", group.element(5)),
+    ])
+    g = vertex_map(tree, {"q0": "q5", "q1": "q4", "q4": "q1", "q5": "q0"})
+    h = vertex_map(tree, {"q1": "q0", "q5": "q4"})
+    assert compose_then_classify([g, h, h]) is OrbitEscapesTree
+    assert length_function({"g": g, "h": h}, ["g", "h", "g h h"]).values == (
+        group.zero(), group.element(5), group.zero())
+
+
+def test_class_lengths_are_the_culler_morgan_value_at_every_vertex():
+    # wherever length_function gives a class its length, the word's
+    # extensions agree on it at every vertex it maps twice; wherever it
+    # raises, a letter has no inverse or the word maps no vertex twice
+    rng = random.Random(7)
+    classes = enumerate_classes(["g", "h"], 3)
+    outcomes = collections.Counter()
+    for case in range(60):
+        group = GROUPS[case % 2]
+        builder = BUILDERS[(case // 2) % len(BUILDERS)]
+        tree, g, h = builder(rng, group)
+        action = {"g": g, "h": h}
+        letter = {("g", 1): g, ("g", -1): inverse_or_none(g),
+                  ("h", 1): h, ("h", -1): inverse_or_none(h)}
+        for c in classes:
+            letters = [letter[key] for key in c.word]
+            try:
+                (length,) = length_function(action, [c]).values
+            except OrbitEscapesTree:
+                assert None in letters or culler_morgan_values(tree, letters) == [], c.text
+                outcomes["raises"] += 1
+                continue
+            values = culler_morgan_values(tree, letters)
+            assert values and set(values) == {length}, (builder.__name__, group, c.text)
+            if compose_then_classify(letters) is OrbitEscapesTree:
+                outcomes["beyond the composite"] += 1
+            else:
+                outcomes["zero" if length.is_zero() else "positive"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_short_ball_still_raises_for_a_long_class():
